@@ -16,7 +16,7 @@ import numpy as np
 
 from . import problems
 from .calculus import set_from_spec
-from .operators import NonFiniteError, norm
+from .operators import NonFiniteError, as_point, norm
 from .schedules import (CoveringError, check_concentrating, mu_row,
                         schedule_from_spec, make_full, validate_covering)
 from .solver import (SeededDecayErrors, SolverConfig, fejer_audit,
@@ -339,7 +339,11 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
             check_every=int(scfg.get("check_every", 10)),
             error_model=error_model,
         )
-        x0 = np.asarray(scfg.get("x0", np.zeros(problem.dim)), dtype=float)
+        try:
+            x0 = as_point(scfg.get("x0", np.zeros(problem.dim)),
+                          dim=problem.dim)
+        except ValueError as exc:
+            raise ConfigError(f"solver.x0: {exc}") from exc
         audits_cfg = cfg.get("audits", {})
     except ConfigError as exc:
         return EXIT_CONFIG, {"error": str(exc)}
@@ -392,12 +396,15 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
 
     if trace_out is None:
         trace_out = cfg.get("output", {}).get("trace")
-    if trace_out:
-        write_trace_csv(Path(base_dir) / trace_out, result.trace)
     summary_path = cfg.get("output", {}).get("summary")
-    if summary_path:
-        with open(Path(base_dir) / summary_path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+    try:
+        if trace_out:
+            write_trace_csv(Path(base_dir) / trace_out, result.trace)
+        if summary_path:
+            with open(Path(base_dir) / summary_path, "w") as fh:
+                json.dump(summary, fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        return EXIT_CONFIG, {"error": f"cannot write output: {exc}"}
 
     summary["solution"] = result.x.tolist()
     return (EXIT_OK if result.converged else EXIT_NOT_CONVERGED), summary

@@ -23,7 +23,7 @@ def as_point(x, dim=None):
         raise ValueError(f"point must be one-dimensional, got shape {p.shape}")
     if dim is not None and p.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {p.shape[0]}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise NonFiniteError("point has non-finite coordinates")
     return p
 
@@ -101,7 +101,7 @@ def apply(op, x):
             f"operator {op.name or op!r} is not dimension-preserving: "
             f"{p.shape} -> {out.shape}"
         )
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteError(f"operator {op.name or op!r} produced non-finite output")
     return out
 

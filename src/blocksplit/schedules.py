@@ -6,8 +6,9 @@ schedule here satisfies the K-window covering condition: the union of any K
 consecutive blocks is the full index set. The module also builds the
 triangular weight rows mu_{n,j} induced by a schedule, together with the
 three structural checks (row sums, band width, diagonal mass) that make the
-array concentrating, and the lag identity tying the rows to last-activation
-indices.
+array concentrating, the lag identity tying the rows to last-activation
+indices, and the running last-activation update the solver and its audit
+share.
 """
 
 from __future__ import annotations
@@ -182,6 +183,25 @@ def last_activation(schedule, i, n):
     raise CoveringError(
         f"index {i} never activated in window {n - K + 1}..{n}; schedule corrupt"
     )
+
+
+def record_activation(last, block, n, K):
+    """Advance a running last-activation list past the block I_n.
+
+    ``last[i - 1]`` holds the latest step k < n with i in I_k, or -1 when
+    there is none; it is updated in place so that afterwards it equals
+    ``last_activation(schedule, i, n)`` for every n >= K-1. From n = K-1 on,
+    an index not activated in the window {n-K+1, ..., n} raises CoveringError.
+    One call per step replaces a scan of K blocks per index.
+    """
+    for i in block:
+        last[i - 1] = n
+    if n >= K - 1 and min(last) <= n - K:
+        missing = [i for i, k in enumerate(last, 1) if k <= n - K]
+        raise CoveringError(
+            f"covering violated: indices {missing} absent from window "
+            f"starting at n={n - K + 1} (K={K})"
+        )
 
 
 @dataclass

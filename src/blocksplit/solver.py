@@ -16,16 +16,13 @@ the geometric envelope implied by declared contraction factors.
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .operators import (AveragedOp, NonFiniteError, apply, as_point,
                         check_weights, kahan_weighted_sum, norm)
-from .schedules import BlockSchedule, CoveringError
+from .schedules import BlockSchedule, record_activation
 
 
 # ---------------------------------------------------------------------------
@@ -151,35 +148,15 @@ def _check_alpha(op, limit, epsilon):
         )
 
 
-def _thread_count():
-    raw = os.environ.get("BLOCKSPLIT_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
-
-
-def _lagged_index(schedule, i, n):
-    """Last activation of i in the window ending at n, or n before any."""
-    for k in range(n, max(0, n - schedule.K + 1) - 1, -1):
-        if i in schedule.block(k):
-            return k
-    return n
-
-
-def _lagged_residual(x, t0f, tf, w, schedule, n):
-    terms = [apply(tf(i, _lagged_index(schedule, i, n)), x)
-             for i in range(1, schedule.m + 1)]
-    mean = kahan_weighted_sum(terms, w)
-    return norm(x - apply(t0f(n), mean))
+def _residual(x, t0, inner_ops, w):
+    mean = kahan_weighted_sum([apply(op, x) for op in inner_ops], w)
+    return norm(x - apply(t0, mean))
 
 
 def fixed_point_residual(x, t0, ts, weights):
     """|| x - T_0( sum_i w_i T_i x ) || for autonomous operators."""
     w = check_weights(weights)
-    x = as_point(x)
-    mean = kahan_weighted_sum([apply(op, x) for op in ts], w)
-    return norm(x - apply(t0, mean))
+    return _residual(as_point(x), t0, ts, w)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +189,9 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
     limit = 1.0 / (1.0 + cfg.epsilon)
     if isinstance(t0, AveragedOp):
         _check_alpha(t0, limit, cfg.epsilon)
-    if isinstance(ts, (list, tuple)):
+    # autonomous operators ignore n, so the check needs no lag lookup
+    autonomous = isinstance(ts, (list, tuple))
+    if autonomous:
         for op in ts:
             _check_alpha(op, limit, cfg.epsilon)
 
@@ -226,101 +205,93 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
     if economical:
         z = w @ tbuf
 
-    pool = None
-    threads = _thread_count()
     trace = []
     sum_err0 = 0.0
     sum_lagged = 0.0
     converged = False
     final_residual = None
-    # covering is enforced on the fly: every K-window the run traverses
-    # must activate all indices
-    window = deque(maxlen=K)
-    full_set = frozenset(range(1, m + 1))
-    try:
-        if threads > 1:
-            pool = ThreadPoolExecutor(max_workers=threads)
-        n = 0
-        while True:
-            at_cap = n >= cfg.max_iters
-            residual = None
-            if at_cap or n % cfg.check_every == 0:
-                residual = _lagged_residual(x, t0f, tf, w, schedule, n)
-            dist = norm(x - x_ref) if x_ref is not None else None
-            if residual is not None and residual <= cfg.tol_residual:
-                converged = True
-            if converged or at_cap:
-                final_residual = residual
-                trace.append(TraceRecord(n=n, x=x.copy(), residual=residual,
-                                         dist_ref=dist))
-                break
-
-            block = schedule.block(n)
-            window.append(block)
-            if len(window) == K and frozenset().union(*window) != full_set:
-                missing = sorted(full_set - frozenset().union(*window))
-                raise CoveringError(
-                    f"covering violated: indices {missing} absent from window "
-                    f"starting at n={n - K + 1} (K={K})"
-                )
-            active = sorted(block)
-            idx = np.array(active) - 1
-            if economical:
-                y = z - w[idx] @ tbuf[idx]
-
-            ops = [tf(i, n) for i in active]
-            for op in ops:
-                _check_alpha(op, limit, cfg.epsilon)
-            if pool is not None:
-                outs = list(pool.map(lambda op: apply(op, x), ops))
+    # last[i-1]: latest step whose block activated i, -1 before any; it
+    # serves the lagged stopping check and the on-the-fly covering test
+    last = [-1] * m
+    n = 0
+    while True:
+        at_cap = n >= cfg.max_iters
+        block = schedule.block(n)
+        residual = None
+        if at_cap or n % cfg.check_every == 0:
+            if autonomous:
+                check_ops = ts
             else:
-                outs = [apply(op, x) for op in ops]
-            for i, out in zip(active, outs):
-                if cfg.error_model is not None:
-                    e = np.asarray(cfg.error_model.error(i, n, dim), dtype=float)
-                    out = out + e
-                    err_norms[i - 1] = norm(e)
-                else:
-                    err_norms[i - 1] = 0.0
-                tbuf[i - 1] = out
+                # c(i, n): last activation in the window {n-K+1, ..., n},
+                # block n included; n itself before the first activation
+                lo = max(0, n - K + 1)
+                check_ops = [tf(i, n if i in block or k < lo else k)
+                             for i, k in enumerate(last, 1)]
+            residual = _residual(x, t0f(n), check_ops, w)
+        dist = norm(x - x_ref) if x_ref is not None else None
+        if residual is not None and residual <= cfg.tol_residual:
+            converged = True
+        if converged or at_cap:
+            final_residual = residual
+            trace.append(TraceRecord(n=n, x=x.copy(), residual=residual,
+                                     dist_ref=dist))
+            break
 
-            if economical:
-                z = y + w[idx] @ tbuf[idx]
-                mean = z
-            else:
-                mean = w @ tbuf
+        # covering is enforced on the fly: every K-window the run
+        # traverses must activate all indices
+        record_activation(last, block, n, K)
+        active = sorted(block)
+        idx = np.array(active) - 1
+        if economical:
+            y = z - w[idx] @ tbuf[idx]
 
-            t0n = t0f(n)
-            _check_alpha(t0n, limit, cfg.epsilon)
-            x_next = apply(t0n, mean)
-            err0 = 0.0
+        ops = [tf(i, n) for i in active]
+        for op in ops:
+            _check_alpha(op, limit, cfg.epsilon)
+        outs = [apply(op, x) for op in ops]
+        for i, out in zip(active, outs):
             if cfg.error_model is not None:
-                e0 = np.asarray(cfg.error_model.error(0, n, dim), dtype=float)
-                x_next = x_next + e0
-                err0 = norm(e0)
-            if not np.all(np.isfinite(x_next)):
-                raise NonFiniteError(f"iterate became non-finite at n={n}")
+                e = np.asarray(cfg.error_model.error(i, n, dim), dtype=float)
+                out = out + e
+                err_norms[i - 1] = norm(e)
+            else:
+                err_norms[i - 1] = 0.0
+            tbuf[i - 1] = out
 
-            errsum = float(err_norms.sum())
-            if n >= K - 1:
-                sum_err0 += err0
-                sum_lagged += errsum
-            trace.append(TraceRecord(
-                n=n,
-                x=x.copy(),
-                block=block,
-                residual=residual,
-                step=norm(x_next - x),
-                err0=err0,
-                errsum=errsum,
-                dist_ref=dist,
-                t_buffer=tbuf.copy() if cfg.record_buffers else None,
-            ))
-            x = x_next
-            n += 1
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+        if economical:
+            z = y + w[idx] @ tbuf[idx]
+            mean = z
+        else:
+            mean = w @ tbuf
+
+        t0n = t0f(n)
+        _check_alpha(t0n, limit, cfg.epsilon)
+        x_next = apply(t0n, mean)
+        err0 = 0.0
+        if cfg.error_model is not None:
+            e0 = np.asarray(cfg.error_model.error(0, n, dim), dtype=float)
+            x_next = x_next + e0
+            err0 = norm(e0)
+        if not np.isfinite(x_next).all():
+            raise NonFiniteError(f"iterate became non-finite at n={n}")
+
+        errsum = float(err_norms.sum())
+        if n >= K - 1:
+            sum_err0 += err0
+            sum_lagged += errsum
+        trace.append(TraceRecord(
+            n=n,
+            x=x.copy(),
+            block=block,
+            residual=residual,
+            step=norm(x_next - x),
+            err0=err0,
+            errsum=errsum,
+            dist_ref=dist,
+            t_buffer=tbuf.copy() if cfg.record_buffers else None,
+        ))
+        x = x_next
+        n += 1
 
     return SolverResult(
         x=x,
@@ -349,33 +320,32 @@ class AuditReport:
         return self.passed
 
 
-def _history_lag(blocks, i, n, K):
-    for k in range(n, n - K, -1):
-        if k >= 0 and blocks[k] is not None and i in blocks[k]:
-            return k
-    raise CoveringError(f"index {i} missing from window ending at n={n} in trace")
-
-
 def fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack):
     """Check, for every n >= K-1 with a successor iterate,
 
         d_{n+1} <= sum_i w_i d_{c(i,n)} + ||e_{0,n}|| + sum_i ||e_{i,c(i,n)}||
 
     where d_n is the distance of iterate n to the reference solution and
-    c(i, n) is recovered from the recorded blocks.
+    c(i, n) is replayed from the recorded blocks, which must satisfy the
+    K-window covering condition (CoveringError otherwise).
     """
     w = check_weights(weights)
-    m = w.size
     dists = np.asarray(dists, dtype=float)
     total = dists.size
     max_violation = -np.inf
     first_bad = None
     checked = 0
-    for n in range(K - 1, total - 1):
+    last = [-1] * w.size
+    for n in range(total - 1):
         if blocks[n] is None:
             break
-        bound = float(sum(w[i - 1] * dists[_history_lag(blocks, i, n, K)]
-                          for i in range(1, m + 1)))
+        if not all(1 <= i <= w.size for i in blocks[n]):
+            raise ValueError(f"block {sorted(blocks[n])} at n={n} names an "
+                             f"index outside 1..{w.size} (one weight each)")
+        record_activation(last, blocks[n], n, K)
+        if n < K - 1:
+            continue
+        bound = float(sum(w * dists[last]))
         bound += float(err0s[n]) + float(errsums[n])
         violation = dists[n + 1] - bound
         checked += 1

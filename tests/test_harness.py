@@ -277,6 +277,32 @@ class TestCLI:
         p.write_text("{not json")
         assert cli.main(["solve", "--config", str(p)]) == EXIT_CONFIG
 
+    def solve_error(self, tmp_path, capsys, cfg):
+        cfg["problem"]["data_csv"] = str(tmp_path / "data.csv")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli.main(["solve", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        return code, captured.err
+
+    def test_solve_x0_of_wrong_length(self, tmp_path, capsys):
+        cfg = lasso_config(tmp_path, n=4)
+        cfg["solver"]["x0"] = [0.0, 0.0, 0.0]
+        code, err = self.solve_error(tmp_path, capsys, cfg)
+        assert code == EXIT_CONFIG
+        assert "x0" in err and "expected 4, got 3" in err
+
+    @pytest.mark.parametrize("key", ["trace", "summary"])
+    def test_solve_output_in_missing_directory(self, tmp_path, capsys, key):
+        cfg = lasso_config(tmp_path)
+        cfg["output"] = {key: str(tmp_path / "missing" / f"{key}.out")}
+        code, err = self.solve_error(tmp_path, capsys, cfg)
+        assert code == EXIT_CONFIG
+        assert "cannot write output" in err
+
     def test_schedule_check_ok(self, capsys):
         code = cli.main(["schedule-check", "--type", "quasicyclic", "--m", "5",
                          "--K", "3", "--seed", "7", "--horizon", "500"])

@@ -6,7 +6,8 @@ from blocksplit.schedules import (BlockSchedule, CoveringError,
                                   lag_identity_check, last_activation,
                                   make_cyclic, make_explicit, make_full,
                                   make_quasicyclic_random, mu_row,
-                                  schedule_from_spec, validate_covering)
+                                  record_activation, schedule_from_spec,
+                                  validate_covering)
 
 
 def cyclic_singletons(m):
@@ -122,6 +123,19 @@ class TestLastActivation:
                     assert i in s.block(c)
                     if i in blk:
                         assert c == n
+
+
+class TestRecordActivation:
+    @pytest.mark.parametrize("schedule", [
+        make_quasicyclic_random(7, 4, seed=3), make_cyclic(10, 3),
+        make_explicit(4, 3, [[1, 2], [3], [4, 1], [2, 3, 4]])])
+    def test_running_list_matches_window_scan(self, schedule):
+        last = [-1] * schedule.m
+        for n in range(300):
+            record_activation(last, schedule.block(n), n, schedule.K)
+            if n >= schedule.K - 1:
+                assert last == [last_activation(schedule, i, n)
+                                for i in range(1, schedule.m + 1)]
 
 
 class TestMuRow:

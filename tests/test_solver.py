@@ -1,18 +1,20 @@
-import os
+import re
 
 import numpy as np
 import pytest
 
 from blocksplit.calculus import Ball, Halfspace, Hyperplane, projector_op
 from blocksplit.harness import direct_mann_iteration, synthetic_regression
-from blocksplit.operators import AveragedOp, NonFiniteError, identity_op, scaling_op
-from blocksplit.problems import lasso_problem
+from blocksplit.operators import (AveragedOp, NonFiniteError, apply,
+                                  identity_op, kahan_weighted_sum, scaling_op)
+from blocksplit.problems import (build_cohypomonotone, lasso_problem,
+                                 quadratic_resolvent)
 from blocksplit.schedules import (CoveringError, last_activation, make_cyclic,
                                   make_explicit, make_full,
                                   make_quasicyclic_random)
 from blocksplit.solver import (SeededDecayErrors, SolverConfig, fejer_audit,
-                               fixed_point_residual, linear_rate_audit, run,
-                               run_economical)
+                               fejer_audit_arrays, fixed_point_residual,
+                               linear_rate_audit, run, run_economical)
 
 AXIS_X = projector_op(Hyperplane([0.0, 1.0], 0.0))
 AXIS_Y = projector_op(Hyperplane([1.0, 0.0], 0.0))
@@ -56,7 +58,8 @@ class TestRunBasics:
         bad = make_explicit(3, 2, [[1], [2], [3]])  # needs K = 3
         cfg = SolverConfig(weights=[1 / 3] * 3, schedule=bad, max_iters=20,
                            tol_residual=-1.0)
-        with pytest.raises(CoveringError):
+        msg = "indices [3] absent from window starting at n=0 (K=2)"
+        with pytest.raises(CoveringError, match=re.escape(msg)):
             run(identity_op(1), [identity_op(1)] * 3, cfg, [0.0])
 
     def test_alpha_epsilon_compatibility(self):
@@ -102,6 +105,33 @@ class TestFixedPointResidual:
         comp = compose(proj_c, proj_d)
         assert np.allclose(comp([2.0]), [2.0])
         assert fixed_point_residual([2.0], proj_c, [proj_d], [1.0]) <= 1e-12
+
+
+class TestLaggedStoppingCheck:
+    def test_family_residual_uses_last_activations(self):
+        # with gammas varying in n, T_{i,c(i,n)} differs from T_{i,n}, so the
+        # check must evaluate each operator at its last activation
+        rng = np.random.default_rng(0)
+        providers = [quadratic_resolvent(np.diag(rng.uniform(0.5, 2.0, 2)),
+                                         rng.standard_normal(2))
+                     for _ in range(3)]
+        prob = build_cohypomonotone(
+            providers, rhos=[0.0] * 3, dim=2,
+            gammas=lambda i, n: 1.0 + 0.5 * ((n + i) % 3))
+        sched = make_quasicyclic_random(3, 3, seed=4)
+        cfg = SolverConfig(weights=prob.weights, schedule=sched, max_iters=40,
+                           tol_residual=-1.0, check_every=1)
+        res = run(prob.t0, prob.ts, cfg, [3.0, -1.0])
+        matches = lagged = 0
+        for rec in res.trace[sched.K - 1:]:
+            lags = [last_activation(sched, i, rec.n) for i in (1, 2, 3)]
+            lagged += sum(c < rec.n for c in lags)
+            terms = [apply(prob.ts(i, c), rec.x) for i, c in zip((1, 2, 3), lags)]
+            mean = kahan_weighted_sum(terms, prob.weights)
+            assert rec.residual == np.linalg.norm(rec.x - apply(prob.t0, mean))
+            matches += 1
+        assert matches == 39
+        assert lagged > 0
 
 
 class TestFullActivationReduction:
@@ -227,6 +257,19 @@ class TestFejerAudit:
         assert not rep.passed
         assert rep.first_violation_n is not None
 
+    def test_uncovered_block_history_raises(self):
+        blocks = [frozenset({1}), frozenset({1}), frozenset({2}), None]
+        with pytest.raises(CoveringError, match=re.escape(
+                "indices [2] absent from window starting at n=0 (K=2)")):
+            fejer_audit_arrays([4.0, 2.0, 1.0, 0.5], [0.0] * 4, [0.0] * 4,
+                               blocks, [0.5, 0.5], K=2, slack=1e-9)
+
+    def test_block_index_beyond_weights_rejected(self):
+        blocks = [frozenset({1, 2, 3}), None]
+        with pytest.raises(ValueError, match="outside 1..2"):
+            fejer_audit_arrays([1.0, 0.5], [0.0] * 2, [0.0] * 2, blocks,
+                               [0.5, 0.5], K=1, slack=1e-9)
+
     def test_errors_included_in_bound(self):
         cfg = axis_contraction_cfg(max_iters=80,
                                    error_model=SeededDecayErrors(1e-3, seed=1))
@@ -312,24 +355,3 @@ class TestEconomicalRunningMean:
         for rec, nxt in zip(res.trace, res.trace[1:]):
             recomputed = prob.weights @ rec.t_buffer
             assert np.max(np.abs(nxt.x - recomputed)) <= 1e-10
-
-
-class TestThreadedEvaluation:
-    def test_thread_pool_matches_serial(self):
-        prob = lasso_instance()
-        sched = make_quasicyclic_random(prob.m, 3, seed=6)
-        cfg = SolverConfig(weights=prob.weights, schedule=sched, max_iters=100,
-                           tol_residual=-1.0)
-        x0 = np.zeros(prob.dim)
-        serial = run(prob.t0, prob.ts, cfg, x0)
-        old = os.environ.get("BLOCKSPLIT_THREADS")
-        os.environ["BLOCKSPLIT_THREADS"] = "4"
-        try:
-            threaded = run(prob.t0, prob.ts, cfg, x0)
-        finally:
-            if old is None:
-                del os.environ["BLOCKSPLIT_THREADS"]
-            else:
-                os.environ["BLOCKSPLIT_THREADS"] = old
-        for ra, rb in zip(serial.trace, threaded.trace):
-            assert np.array_equal(ra.x, rb.x)
