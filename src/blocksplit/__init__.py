@@ -2,9 +2,9 @@
 operators, computed while re-evaluating only a block of the operators per
 iteration and recycling stale evaluations."""
 
-from .operators import (AveragedOp, NonFiniteError, apply, as_point,
-                        certify_averaged, compose, convex_combination,
-                        identity_op, relax, scaling_op)
+from .operators import (AveragedOp, NonFiniteError, RowStack, apply,
+                        as_point, certify_averaged, compose,
+                        convex_combination, identity_op, relax, scaling_op)
 from .schedules import (BlockSchedule, CoveringError, check_concentrating,
                         last_activation, lag_identity_check, make_cyclic,
                         make_explicit, make_full, make_quasicyclic_random,

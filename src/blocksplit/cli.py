@@ -84,11 +84,13 @@ def _cmd_schedule_check(args):
                 spec["block_size"] = args.block_size
             spec["seed"] = args.seed
         schedule = schedule_from_spec(spec)
+        if args.rows < 1:
+            raise ConfigError(f"--rows must be at least 1, got {args.rows}")
+        violation = validate_covering(schedule, args.horizon)
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    violation = validate_covering(schedule, args.horizon)
     if violation is not None:
         n, missing = violation
         print(f"covering: FAIL at window n={n}, missing indices {missing}")
@@ -108,9 +110,9 @@ def _cmd_schedule_check(args):
 
 
 def _cmd_audit(args):
-    weights = [float(v) for v in args.weights.split(",")]
     failed = False
     try:
+        weights = [float(v) for v in args.weights.split(",")]
         rep = replay_fejer_from_csv(args.trace, weights, args.K)
         print(f"fejer: {'pass' if rep.passed else 'FAIL'} "
               f"(max violation {rep.max_violation:.3e}, slack {rep.slack:.3e}, "

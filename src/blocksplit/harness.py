@@ -173,7 +173,10 @@ def write_trace_csv(path, trace):
 
 def read_trace_csv(path):
     """Load a persisted trace into parallel lists keyed by column name."""
-    text = Path(path).read_text().strip().splitlines()
+    try:
+        text = Path(path).read_text().strip().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read trace: {exc}") from exc
     if not text or text[0] != TRACE_HEADER:
         raise ConfigError(f"{path}: not a blocksplit trace (bad header)")
     out = {"n": [], "residual": [], "step": [], "err0": [], "errsum": [],
@@ -351,7 +354,7 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
         return EXIT_CONFIG, {"error": f"bad config: {exc}"}
 
     try:
-        x_ref = None
+        x_ref = ref = None
         if audits_cfg.get("fejer"):
             # error-free full-activation reference at tight tolerance
             ref = run(problem.t0, problem.ts,
@@ -390,8 +393,11 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
     # the covering verdict describes the horizon the run actually visited
     summary["audits"]["covering"] = validate_covering(
         schedule, max(result.iterations, schedule.K)) is None
-    if x_ref is not None:
-        summary["audits"]["fejer"] = bool(
+    if ref is not None:
+        # distances to an unconverged reference say nothing about Fejer
+        # monotonicity, so such a reference fails the audit
+        summary["reference_converged"] = ref.converged
+        summary["audits"]["fejer"] = ref.converged and bool(
             fejer_audit(result.trace, x_ref, problem.weights, schedule.K).passed)
 
     if trace_out is None:

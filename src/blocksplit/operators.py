@@ -6,6 +6,7 @@ a sampling-based certificate for declared averagedness constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -102,8 +103,55 @@ def apply(op, x):
             f"{p.shape} -> {out.shape}"
         )
     if not np.isfinite(out).all():
-        raise NonFiniteError(f"operator {op.name or op!r} produced non-finite output")
+        raise _non_finite(op)
     return out
+
+
+def _non_finite(op):
+    return NonFiniteError(f"operator {op.name or op!r} produced non-finite output")
+
+
+def _one_row(kernel, rows, x):
+    return kernel(rows, x)[0]
+
+
+class RowStack(list):
+    """m operators of one form, each parametrised by a row, evaluable a
+    block at a time.
+
+    ``kernel(idx, x)`` evaluates the operators at the 0-based rows ``idx``
+    (an integer array or a slice) at one point ``x`` and returns a
+    ``(rows, dim)`` array. The list holds one ``AveragedOp`` per row whose
+    body is the kernel on that one-row slice, so the formula exists once.
+    A kernel must give every row the same bits in whatever block it is
+    evaluated: compute its dot products as ``(A[idx] * x).sum(axis=1)``, not
+    ``A[idx] @ x``, whose matrix-vector product rounds differently with the
+    number of rows. Then ``eval_block`` agrees exactly with ``apply`` on each
+    member, and a run on the stack equals a run on ``list(stack)``.
+    """
+
+    def __init__(self, kernel, dim, alphas, names):
+        super().__init__(
+            AveragedOp(partial(_one_row, kernel, slice(k, k + 1)), dim=dim,
+                       alpha=float(alpha), name=name)
+            for k, (alpha, name) in enumerate(zip(alphas, names)))
+        self.kernel = kernel
+        self.dim = dim
+
+    def eval_block(self, idx, x):
+        """The operators at the 0-based rows ``idx`` evaluated at ``x``, one
+        row each; validated once per block as ``apply`` validates one call."""
+        p = as_point(x, dim=self.dim)
+        rows = range(len(self))[idx] if isinstance(idx, slice) else idx
+        out = np.asarray(self.kernel(idx, p), dtype=float)
+        if out.shape != (len(rows), self.dim):
+            raise ValueError(
+                f"row kernel is not dimension-preserving: {len(rows)} rows "
+                f"at {p.shape} -> {out.shape}")
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise _non_finite(self[rows[int(np.argmin(finite.all(axis=1)))]])
+        return out
 
 
 def identity_op(dim, alpha=0.5):

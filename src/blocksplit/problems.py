@@ -14,9 +14,9 @@ import numpy as np
 
 from .calculus import (ConvexSet, LinearMap, SmoothScalar, grad_distance_penalty,
                        gradient_step_op, distance_penalty_value, projector_op,
-                       prox_l1, row_map)
-from .operators import (AveragedOp, as_point, certify_averaged, check_weights,
-                        identity_op)
+                       prox_l1)
+from .operators import (AveragedOp, RowStack, as_point, certify_averaged,
+                        check_weights, identity_op)
 from .solver import SolverConfig, run, run_economical
 
 
@@ -243,11 +243,15 @@ def build_prox_grad(f0_prox, grads, betas, dim, gamma=None, weights=None,
                     objective=None, meta=None):
     """Minimize f_0 + sum_i w_i f_i with smooth f_i and proximable f_0.
 
-    ``f0_prox`` evaluates (gamma, x) -> prox_{gamma f_0} x; ``grads[i]`` is
-    the gradient of f_i with a 1/beta_i Lipschitz constant.
+    ``f0_prox`` evaluates (gamma, x) -> prox_{gamma f_0} x. ``grads`` is
+    either a list whose entry i is the gradient of f_i, or one row kernel
+    ``grads(idx, x) -> (len(idx), dim)`` giving the gradients of the f_i at
+    the 0-based rows ``idx``; the forward steps are then a ``RowStack``. The
+    gradient of f_i has a 1/beta_i Lipschitz constant.
     """
-    m = len(grads)
+    stacked = callable(grads)
     betas = np.asarray(betas, dtype=float)
+    m = betas.size if stacked else len(grads)
     if betas.shape != (m,) or np.any(betas <= 0):
         raise ValueError("need one positive beta per gradient")
     bound = 2.0 * float(betas.min())
@@ -255,37 +259,56 @@ def build_prox_grad(f0_prox, grads, betas, dim, gamma=None, weights=None,
         gamma = 0.9 * bound
     if not 0.0 < gamma < bound:
         raise ValueError(f"gamma must lie in (0, {bound}), got {gamma}")
-    ops = [gradient_step_op(g, float(b), gamma, dim, name=f"grad-step[{k + 1}]")
-           for k, (g, b) in enumerate(zip(grads, betas))]
+    w = _resolve_weights(weights, m)
+    names = [f"grad-step[{k + 1}]" for k in range(m)]
+    if stacked:
+        ops = RowStack(lambda idx, x: x - gamma * grads(idx, x), dim,
+                       gamma / (2.0 * betas), names)
+        default_grad = lambda x: w @ grads(slice(None), x)
+    else:
+        ops = [gradient_step_op(g, float(b), gamma, dim, name=name)
+               for g, b, name in zip(grads, betas, names)]
+        default_grad = lambda x: sum(wi * np.asarray(g(x), dtype=float)
+                                     for wi, g in zip(w, grads))
     t0 = AveragedOp(lambda x: np.asarray(f0_prox(gamma, x), dtype=float),
                     dim=dim, alpha=0.5, lipschitz=1.0, name="prox[gamma f0]")
-    w = _resolve_weights(weights, m)
     meta = dict(meta or {})
     meta.setdefault("f0_prox", f0_prox)
-    meta.setdefault("smooth_grad",
-                    lambda x: sum(wi * np.asarray(g(x), dtype=float)
-                                  for wi, g in zip(w, grads)))
+    meta.setdefault("smooth_grad", default_grad)
     return BuiltProblem(t0=t0, ts=ops, weights=w, dim=dim, m=m, gamma=gamma,
                         objective=objective, name="prox_grad", meta=meta)
 
 
-def lasso_problem(rows, targets, reg, gamma=None, weights=None):
-    """l1-regularized least squares: alpha ||x||_1 + sum_i w_i (<x, a_i> - eta_i)^2."""
-    A = np.asarray(rows, dtype=float)
+def _rows_and_targets(rows, targets, what):
+    # C order keeps each row's dot product (A[idx] * x).sum(axis=1) a
+    # pairwise sum over that row alone, whatever the block
+    A = np.ascontiguousarray(rows, dtype=float)
     eta = np.asarray(targets, dtype=float)
     if A.ndim != 2 or eta.shape != (A.shape[0],):
-        raise ValueError("rows must be (m, d) with one target per row")
-    if reg <= 0:
-        raise ValueError("l1 weight must be positive")
-    m, dim = A.shape
+        raise ValueError(f"rows must be (m, d) with one {what} per row")
     sq_norms = (A * A).sum(axis=1)
     if np.any(sq_norms == 0.0):
         raise ValueError("zero rows are not allowed")
+    return A, eta, sq_norms
+
+
+def _square_loss_grads(A, eta):
+    """Row kernel of the gradients of x -> (<a_i, x> - eta_i)^2."""
+    def grads(idx, x):
+        Ai = A[idx]
+        return (2.0 * ((Ai * x).sum(axis=1) - eta[idx]))[:, None] * Ai
+
+    return grads
+
+
+def lasso_problem(rows, targets, reg, gamma=None, weights=None):
+    """l1-regularized least squares: alpha ||x||_1 + sum_i w_i (<x, a_i> - eta_i)^2."""
+    A, eta, sq_norms = _rows_and_targets(rows, targets, "target")
+    if reg <= 0:
+        raise ValueError("l1 weight must be positive")
+    m, dim = A.shape
     betas = 1.0 / (2.0 * sq_norms)
     w = _resolve_weights(weights, m)
-
-    grads = [(lambda x, a=A[k], e=eta[k]: 2.0 * (float(np.dot(a, x)) - e) * a)
-             for k in range(m)]
 
     def smooth_grad(x):
         r = A @ x - eta
@@ -297,7 +320,7 @@ def lasso_problem(rows, targets, reg, gamma=None, weights=None):
 
     prob = build_prox_grad(
         f0_prox=lambda g, x: prox_l1(x, g * reg),
-        grads=grads,
+        grads=_square_loss_grads(A, eta),
         betas=betas,
         dim=dim,
         gamma=gamma,
@@ -317,23 +340,18 @@ def _sigmoid(t):
 
 def logistic_problem(rows, labels, reg, gamma=None, weights=None):
     """l1-penalized logistic regression with labels in {0, 1}."""
-    A = np.asarray(rows, dtype=float)
-    eta = np.asarray(labels, dtype=float)
-    if A.ndim != 2 or eta.shape != (A.shape[0],):
-        raise ValueError("rows must be (m, d) with one label per row")
+    A, eta, sq_norms = _rows_and_targets(rows, labels, "label")
     if not set(np.unique(eta)) <= {0.0, 1.0}:
         raise ValueError("labels must be 0 or 1")
     if reg <= 0:
         raise ValueError("l1 weight must be positive")
     m, dim = A.shape
-    sq_norms = (A * A).sum(axis=1)
-    if np.any(sq_norms == 0.0):
-        raise ValueError("zero rows are not allowed")
     betas = 4.0 / sq_norms
     w = _resolve_weights(weights, m)
 
-    grads = [(lambda x, a=A[k], e=eta[k]:
-              (_sigmoid(float(np.dot(a, x))) - e) * a) for k in range(m)]
+    def grads(idx, x):
+        Ai = A[idx]
+        return (_sigmoid((Ai * x).sum(axis=1)) - eta[idx])[:, None] * Ai
 
     def smooth_grad(x):
         s = _sigmoid(A @ x) - eta
@@ -418,19 +436,37 @@ def build_feasibility_relaxation(C0, terms, gamma=None, weights=None):
 
 def least_squares_feasibility(rows, targets, gamma=None, weights=None):
     """The classical inconsistent-linear-system relaxation: rows as functionals,
-    singleton targets, squared distance penalties, no hard constraint."""
-    from .calculus import FullSpace, Singleton, square
+    singleton targets, squared distance penalties, no hard constraint.
 
-    A = np.asarray(rows, dtype=float)
-    eta = np.asarray(targets, dtype=float)
-    if A.ndim != 2 or eta.shape != (A.shape[0],):
-        raise ValueError("rows must be (m, d) with one target per row")
-    terms = [(row_map(A[k]), Singleton([eta[k]]), square())
-             for k in range(A.shape[0])]
-    prob = build_feasibility_relaxation(FullSpace(A.shape[1]), terms,
-                                        gamma=gamma, weights=weights)
+    With phi = t^2 and D_i = {eta_i} the penalty is (<a_i, x> - eta_i)^2, so
+    this is proximal gradient with f_0 = 0: T_0 is the identity (the
+    projector onto the whole space) and the forward steps share one row
+    kernel.
+    """
+    A, eta, sq_norms = _rows_and_targets(rows, targets, "target")
+    m, dim = A.shape
+    w = _resolve_weights(weights, m)
+
+    def objective(x):
+        r = A @ x - eta
+        return float(np.dot(w, r * r))
+
+    def feasibility_gap(x):
+        return float(np.abs(A @ x - eta).max())
+
+    betas = 1.0 / (2.0 * sq_norms)
+    prob = build_prox_grad(
+        f0_prox=lambda g, x: x,
+        grads=_square_loss_grads(A, eta),
+        betas=betas,
+        dim=dim,
+        gamma=gamma,
+        weights=w,
+        objective=objective,
+        meta={"feasibility_gap": feasibility_gap, "beta": float(betas.min()),
+              "rows": A, "targets": eta},
+    )
     prob.name = "least_squares_feasibility"
-    prob.meta.update({"rows": A, "targets": eta})
     return prob
 
 

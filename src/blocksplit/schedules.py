@@ -147,7 +147,7 @@ def validate_covering(schedule, horizon):
     """
     K = schedule.K
     if horizon < K:
-        raise ValueError("horizon must be at least K")
+        raise ValueError(f"horizon {horizon} must be at least K={K}")
     everything = set(range(1, schedule.m + 1))
     window = [schedule.block(k) for k in range(K)]
     for n in range(horizon - K + 1):

@@ -149,8 +149,11 @@ def _check_alpha(op, limit, epsilon):
 
 
 def _residual(x, t0, inner_ops, w):
-    mean = kahan_weighted_sum([apply(op, x) for op in inner_ops], w)
-    return norm(x - apply(t0, mean))
+    if hasattr(inner_ops, "eval_block"):
+        outs = inner_ops.eval_block(slice(None), x)
+    else:
+        outs = [apply(op, x) for op in inner_ops]
+    return norm(x - apply(t0, kahan_weighted_sum(outs, w)))
 
 
 def fixed_point_residual(x, t0, ts, weights):
@@ -187,13 +190,17 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
     t0f = _as_t0_family(t0)
     tf = _as_t_family(ts, m)
     limit = 1.0 / (1.0 + cfg.epsilon)
-    if isinstance(t0, AveragedOp):
+    # fixed operators are checked once here, families at every iteration
+    t0_fixed = isinstance(t0, AveragedOp)
+    if t0_fixed:
         _check_alpha(t0, limit, cfg.epsilon)
     # autonomous operators ignore n, so the check needs no lag lookup
     autonomous = isinstance(ts, (list, tuple))
     if autonomous:
         for op in ts:
             _check_alpha(op, limit, cfg.epsilon)
+    # row-structured operators (a RowStack) evaluate a block in one call
+    eval_block = getattr(ts, "eval_block", None) if autonomous else None
 
     if cfg.t_init is None:
         tbuf = np.tile(x, (m, 1))
@@ -245,18 +252,21 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         if economical:
             y = z - w[idx] @ tbuf[idx]
 
-        ops = [tf(i, n) for i in active]
-        for op in ops:
-            _check_alpha(op, limit, cfg.epsilon)
-        outs = [apply(op, x) for op in ops]
-        for i, out in zip(active, outs):
-            if cfg.error_model is not None:
+        if eval_block is not None:
+            outs = eval_block(idx, x)
+        else:
+            ops = [tf(i, n) for i in active]
+            if not autonomous:
+                for op in ops:
+                    _check_alpha(op, limit, cfg.epsilon)
+            outs = [apply(op, x) for op in ops]
+        if cfg.error_model is None:
+            tbuf[idx] = outs
+        else:
+            for i, out in zip(active, outs):
                 e = np.asarray(cfg.error_model.error(i, n, dim), dtype=float)
-                out = out + e
+                tbuf[i - 1] = out + e
                 err_norms[i - 1] = norm(e)
-            else:
-                err_norms[i - 1] = 0.0
-            tbuf[i - 1] = out
 
         if economical:
             z = y + w[idx] @ tbuf[idx]
@@ -265,7 +275,8 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
             mean = w @ tbuf
 
         t0n = t0f(n)
-        _check_alpha(t0n, limit, cfg.epsilon)
+        if not t0_fixed:
+            _check_alpha(t0n, limit, cfg.epsilon)
         x_next = apply(t0n, mean)
         err0 = 0.0
         if cfg.error_model is not None:

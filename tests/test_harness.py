@@ -189,6 +189,18 @@ class TestRunExperiment:
         offline = replay_fejer_from_csv(tmp_path / "trace.csv",
                                         [1 / 6] * 6, K=3)
         assert summary["audits"]["fejer"] == offline.passed
+        assert summary["reference_converged"] is True
+
+    def test_unconverged_fejer_reference_fails_the_audit(self, tmp_path):
+        sched = {"type": "quasicyclic", "m": 6, "K": 3, "seed": 2}
+        cfg = lasso_config(tmp_path, schedule=sched,
+                           audits={"fejer": True, "reference_iters": 5})
+        code, summary = run_experiment(cfg, base_dir=tmp_path)
+        assert code == EXIT_OK
+        assert summary["reference_converged"] is False
+        assert summary["audits"]["fejer"] is False
+        written = json.loads((tmp_path / "summary.json").read_text())
+        assert written["reference_converged"] is False
 
     def test_cli_style_overrides(self, tmp_path):
         cfg = lasso_config(tmp_path)
@@ -281,7 +293,10 @@ class TestCLI:
         cfg["problem"]["data_csv"] = str(tmp_path / "data.csv")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        code = cli.main(["solve", "--config", str(cfg_path)])
+        return self.cli_error(capsys, ["solve", "--config", str(cfg_path)])
+
+    def cli_error(self, capsys, argv):
+        code = cli.main(argv)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -317,6 +332,29 @@ class TestCLI:
         code = cli.main(["schedule-check", "--config", str(p)])
         assert code == EXIT_COVERING
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--horizon", "1"], "horizon 1 must be at least K=2"),
+        (["--rows", "-1"], "--rows must be at least 1, got -1"),
+    ], ids=["horizon-below-K", "negative-rows"])
+    def test_schedule_check_bad_inputs(self, capsys, argv, message):
+        code, err = self.cli_error(capsys, [
+            "schedule-check", "--type", "cyclic", "--m", "4",
+            "--block-size", "2"] + argv)
+        assert code == EXIT_CONFIG
+        assert message in err
+
+    @pytest.mark.parametrize("trace, weights, message", [
+        ("trace.csv", "a,b", "could not convert string to float: 'a'"),
+        ("missing.csv", "0.5,0.5", "cannot read trace"),
+    ], ids=["bad-weights", "missing-trace"])
+    def test_audit_bad_inputs(self, tmp_path, capsys, trace, weights, message):
+        (tmp_path / "trace.csv").write_text("n\n")
+        code, err = self.cli_error(capsys, [
+            "audit", "--trace", str(tmp_path / trace), "--weights", weights,
+            "--K", "1"])
+        assert code == EXIT_CONFIG
+        assert message in err
 
     def test_audit_pass_and_fail(self, tmp_path, capsys):
         from blocksplit.solver import SolverConfig, run

@@ -68,6 +68,23 @@ class TestRunBasics:
         with pytest.raises(ValueError, match="alpha"):
             run(identity_op(2), [loose], cfg, [0.0, 0.0])
 
+    @pytest.mark.parametrize("which", ["t0", "ts"])
+    def test_family_alpha_checked_at_every_iteration(self, which):
+        # admissible until n = 3; lists are checked once, families each time
+        asked = []
+
+        def family(*args):
+            asked.append(args[-1])
+            return identity_op(1, alpha=0.5 if args[-1] < 3 else 1.0)
+
+        cfg = SolverConfig(weights=[1.0], schedule=make_full(1), max_iters=10,
+                           tol_residual=-1.0, check_every=100)
+        t0, ts = (family, [identity_op(1)]) if which == "t0" else (
+            identity_op(1), family)
+        with pytest.raises(ValueError, match="declares alpha=1.0"):
+            run(t0, ts, cfg, [0.0])
+        assert max(asked) == 3
+
     def test_nonfinite_iterate_detected(self):
         bomb = AveragedOp(lambda x: np.full_like(x, np.inf), dim=1, alpha=0.4)
         cfg = SolverConfig(weights=[1.0], schedule=make_full(1), max_iters=50,
