@@ -14,9 +14,9 @@ from .solver import (SeededDecayErrors, SolverConfig, SolverResult,
                      linear_rate_audit, run, run_economical)
 from .calculus import (AffineSubspace, Ball, Box, FullSpace, Halfspace,
                        Hyperplane, LinearMap, Singleton, SmoothScalar,
-                       grad_distance_penalty, half_square, huber, project,
-                       projector_op, prox_l1, prox_separable, resolvent_linear,
-                       row_map, square, yosida)
+                       grad_distance_penalty, half_square, huber,
+                       projector_op, prox_l1, prox_separable, row_map, square,
+                       yosida)
 from .problems import (BuiltProblem, alternating_projections,
                        build_cohypomonotone, build_common_fixed_point,
                        build_feasibility_relaxation, build_forward_backward,

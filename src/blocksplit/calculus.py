@@ -142,11 +142,6 @@ class FullSpace(ConvexSet):
         return as_point(x, dim=self.dim)
 
 
-def project(convex_set, x):
-    """Nearest point of ``convex_set`` to ``x``."""
-    return convex_set.project(x)
-
-
 def set_from_spec(spec):
     """Build a set from a config mapping, e.g. {"set": "ball", "center": [0, 0],
     "radius": 1}."""
@@ -236,12 +231,6 @@ def linear_resolvent_op(A, gamma, lipschitz=1.0):
                       lipschitz=lipschitz, name=f"J[{gamma}A]")
 
 
-def resolvent_linear(A, gamma, x):
-    """Solve (I + gamma*A) v = x for a monotone linear A."""
-    op = linear_resolvent_op(A, gamma)
-    return op(as_point(x, dim=op.dim))
-
-
 def yosida(resolvent, rho, x):
     """The Yosida step (x - J_{rho A} x) / rho given the resolvent at index rho."""
     if rho <= 0:
@@ -308,38 +297,22 @@ def check_derivative(phi, n_samples=200, seed=0, tol=1e-6, spread=3.0):
 
 
 class LinearMap:
-    """A dense linear map with its adjoint and power-iteration operator norm."""
+    """A dense linear map with its adjoint and exact operator norm."""
 
-    def __init__(self, matrix, norm_seed=0):
+    def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
         if self.matrix.ndim != 2:
             raise ValueError("need a 2-D matrix")
         self.codomain_dim, self.domain_dim = self.matrix.shape
-        self.norm = self._power_norm(norm_seed)
+        # the largest singular value; an underestimate would under-declare
+        # the alpha of forward steps built from it
+        self.norm = float(np.linalg.norm(self.matrix, 2))
 
     def __call__(self, x):
         return self.matrix @ as_point(x, dim=self.domain_dim)
 
     def adjoint(self, y):
         return self.matrix.T @ as_point(y, dim=self.codomain_dim)
-
-    def _power_norm(self, seed, rel_tol=1e-10, max_iters=10_000):
-        gram = self.matrix.T @ self.matrix
-        v = np.random.default_rng(seed).standard_normal(self.domain_dim)
-        v /= np.linalg.norm(v)
-        sigma2 = 0.0
-        for _ in range(max_iters):
-            gv = gram @ v
-            new = float(np.dot(v, gv))
-            ngv = np.linalg.norm(gv)
-            if ngv == 0.0:
-                return 0.0
-            v = gv / ngv
-            if abs(new - sigma2) <= rel_tol * max(new, 1e-300):
-                sigma2 = new
-                break
-            sigma2 = new
-        return float(np.sqrt(max(sigma2, 0.0)))
 
 
 def identity_map(dim):

@@ -208,8 +208,6 @@ def replay_fejer_from_csv(path, weights, K, slack=None):
         raise ConfigError("trace has no dist_ref column; rerun with a reference")
     err0s = [v or 0.0 for v in data["err0"]]
     errsums = [v or 0.0 for v in data["errsum"]]
-    if slack is None:
-        slack = 1e-9 * (1.0 + dists[0])
     return fejer_audit_arrays(dists, err0s, errsums, data["block"], weights, K,
                               slack)
 
@@ -219,9 +217,6 @@ def replay_linear_rate_from_csv(path, rho0, rhos, weights, K, slack=None):
     dists = data["dist_ref"]
     if any(d is None for d in dists):
         raise ConfigError("trace has no dist_ref column; rerun with a reference")
-    if slack is None:
-        xi_hat = max(dists[:K])
-        slack = 1e-12 * (1.0 + xi_hat)
     return linear_rate_audit_arrays(dists, rho0, rhos, weights, K, slack)
 
 

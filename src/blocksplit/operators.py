@@ -168,12 +168,6 @@ def scaling_op(dim, c):
                       name=f"{c}*id")
 
 
-def translation_op(dim, shift, alpha=0.5):
-    shift = as_point(shift, dim=dim)
-    return AveragedOp(lambda x: x + shift, dim=dim, alpha=alpha, lipschitz=1.0,
-                      name="translate")
-
-
 def convex_combination(ops, weights):
     """The operator x -> sum_i w_i T_i x.
 

@@ -286,6 +286,9 @@ def _rows_and_targets(rows, targets, what):
     eta = np.asarray(targets, dtype=float)
     if A.ndim != 2 or eta.shape != (A.shape[0],):
         raise ValueError(f"rows must be (m, d) with one {what} per row")
+    if not (np.isfinite(A).all() and np.isfinite(eta).all()):
+        k = int(np.argmin(np.isfinite(A).all(axis=1) & np.isfinite(eta)))
+        raise ValueError(f"row {k} has a non-finite feature or {what}")
     sq_norms = (A * A).sum(axis=1)
     if np.any(sq_norms == 0.0):
         raise ValueError("zero rows are not allowed")

@@ -7,8 +7,8 @@ consecutive blocks is the full index set. The module also builds the
 triangular weight rows mu_{n,j} induced by a schedule, together with the
 three structural checks (row sums, band width, diagonal mass) that make the
 array concentrating, the lag identity tying the rows to last-activation
-indices, and the running last-activation update the solver and its audit
-share.
+indices, and the running last-activation update that decides covering
+everywhere in the package.
 """
 
 from __future__ import annotations
@@ -21,7 +21,16 @@ from .operators import check_weights
 
 
 class CoveringError(ValueError):
-    """The K-window covering condition failed, or a schedule is corrupt."""
+    """The K-window covering condition failed, or a schedule is corrupt.
+
+    A failed window carries its first step ``start`` and the sorted
+    ``missing`` indices; both are None for a corrupt block.
+    """
+
+    def __init__(self, message, start=None, missing=None):
+        super().__init__(message)
+        self.start = start
+        self.missing = missing
 
 
 class BlockSchedule:
@@ -75,25 +84,24 @@ def make_full(m):
 def make_quasicyclic_random(m, K, seed):
     """Seeded random nonempty blocks with forced sweep completion.
 
-    At every n >= K-1, any index that was not activated during the previous
-    K-1 steps is inserted into I_n, so the covering condition holds by
-    construction rather than by rejection sampling.
+    Any index that was not activated during the previous K-1 steps is
+    inserted into I_n, so the covering condition holds by construction
+    rather than by rejection sampling. The blocks are cached: ``mu_row``,
+    ``last_activation`` and the post-run covering walk read old blocks, and
+    the seeded generator cannot produce block n without replaying it from 0.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     rng = np.random.default_rng(seed)
     cache = []
-    everything = frozenset(range(1, m + 1))
+    last = [-1] * m
 
     def extend():
         n = len(cache)
         size = int(rng.integers(1, m + 1))
         picks = set(rng.choice(m, size=size, replace=False) + 1)
-        if n >= K - 1:
-            recent = set()
-            for blk in cache[n - K + 1:n]:
-                recent |= blk
-            picks |= everything - recent
+        picks.update(i for i, k in enumerate(last, 1) if k <= n - K)
+        record_activation(last, picks, n, K)
         cache.append(frozenset(picks))
 
     def block_fn(n):
@@ -143,31 +151,20 @@ def validate_covering(schedule, horizon):
 
     Returns None when every window {n, ..., n+K-1} with n + K <= horizon
     covers {1, ..., m}; otherwise returns (n, missing) for the first window
-    start n that fails, with the sorted missing indices.
+    start n that fails, with the sorted missing indices. The blocks are
+    replayed through ``record_activation``; a corrupt block still raises.
     """
     K = schedule.K
     if horizon < K:
         raise ValueError(f"horizon {horizon} must be at least K={K}")
-    everything = set(range(1, schedule.m + 1))
-    window = [schedule.block(k) for k in range(K)]
-    for n in range(horizon - K + 1):
-        union = set().union(*window)
-        if union != everything:
-            return n, sorted(everything - union)
-        if n + K < horizon:
-            window.pop(0)
-            window.append(schedule.block(n + K))
+    last = [-1] * schedule.m
+    for n in range(horizon):
+        block = schedule.block(n)
+        try:
+            record_activation(last, block, n, K)
+        except CoveringError as exc:
+            return exc.start, exc.missing
     return None
-
-
-def require_covering(schedule, horizon):
-    violation = validate_covering(schedule, horizon)
-    if violation is not None:
-        n, missing = violation
-        raise CoveringError(
-            f"covering violated: indices {missing} absent from window starting "
-            f"at n={n} (K={schedule.K})"
-        )
 
 
 def last_activation(schedule, i, n):
@@ -192,7 +189,9 @@ def record_activation(last, block, n, K):
     there is none; it is updated in place so that afterwards it equals
     ``last_activation(schedule, i, n)`` for every n >= K-1. From n = K-1 on,
     an index not activated in the window {n-K+1, ..., n} raises CoveringError.
-    One call per step replaces a scan of K blocks per index.
+    This is the one place that decides K-window covering: the solver, the
+    Fejer replay, ``validate_covering`` and the quasicyclic generator all
+    advance a list through it.
     """
     for i in block:
         last[i - 1] = n
@@ -200,7 +199,8 @@ def record_activation(last, block, n, K):
         missing = [i for i, k in enumerate(last, 1) if k <= n - K]
         raise CoveringError(
             f"covering violated: indices {missing} absent from window "
-            f"starting at n={n - K + 1} (K={K})"
+            f"starting at n={n - K + 1} (K={K})",
+            start=n - K + 1, missing=missing,
         )
 
 

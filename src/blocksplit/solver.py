@@ -331,17 +331,28 @@ class AuditReport:
         return self.passed
 
 
-def fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack):
+def _check_K(K):
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+
+
+def fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack=None):
     """Check, for every n >= K-1 with a successor iterate,
 
         d_{n+1} <= sum_i w_i d_{c(i,n)} + ||e_{0,n}|| + sum_i ||e_{i,c(i,n)}||
 
     where d_n is the distance of iterate n to the reference solution and
     c(i, n) is replayed from the recorded blocks, which must satisfy the
-    K-window covering condition (CoveringError otherwise).
+    K-window covering condition (CoveringError otherwise). The default
+    ``slack`` is 1e-9 * (1 + d_0).
     """
+    _check_K(K)
     w = check_weights(weights)
     dists = np.asarray(dists, dtype=float)
+    if dists.size == 0:
+        raise ValueError("need at least one recorded iterate")
+    if slack is None:
+        slack = 1e-9 * (1.0 + float(dists[0]))
     total = dists.size
     max_violation = -np.inf
     first_bad = None
@@ -381,18 +392,18 @@ def fejer_audit(trace, x_ref, weights, K, slack=None):
     blocks = [rec.block for rec in trace]
     err0s = [rec.err0 or 0.0 for rec in trace]
     errsums = [rec.errsum or 0.0 for rec in trace]
-    if slack is None:
-        slack = 1e-9 * (1.0 + dists[0])
     return fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack)
 
 
-def linear_rate_audit_arrays(dists, rho0, rhos, weights, K, slack):
+def linear_rate_audit_arrays(dists, rho0, rhos, weights, K, slack=None):
     """Check the geometric envelope implied by declared contraction factors:
 
         d_n <= rho^{(1-K)/K} * max(d_0, ..., d_{K-1}) * rho^{n/K},
 
-    with rho = rho0 * sum_i w_i rho_i, which must be < 1.
+    with rho = rho0 * sum_i w_i rho_i, which must be < 1. The default
+    ``slack`` is 1e-12 * (1 + max(d_0, ..., d_{K-1})).
     """
+    _check_K(K)
     w = check_weights(weights)
     if rho0 is None or any(r is None for r in rhos):
         raise ValueError("every operator needs a declared Lipschitz constant")
@@ -403,6 +414,8 @@ def linear_rate_audit_arrays(dists, rho0, rhos, weights, K, slack):
     if dists.size < K:
         raise ValueError("need at least K recorded iterates")
     xi_hat = float(dists[:K].max())
+    if slack is None:
+        slack = 1e-12 * (1.0 + xi_hat)
     max_violation = -np.inf
     first_bad = None
     for n in range(dists.size):
@@ -425,7 +438,4 @@ def linear_rate_audit(trace, x_ref, rho0, rhos, weights, K, slack=None):
         if rec.err0:
             raise ValueError("linear rate audit requires an error-free run")
     dists = [norm(rec.x - x_ref) for rec in trace]
-    if slack is None:
-        xi_hat = max(dists[:K]) if len(dists) >= K else max(dists)
-        slack = 1e-12 * (1.0 + xi_hat)
     return linear_rate_audit_arrays(dists, rho0, rhos, weights, K, slack)

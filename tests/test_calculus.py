@@ -6,9 +6,9 @@ from blocksplit.calculus import (AffineSubspace, Ball, Box, FullSpace,
                                  check_derivative, distance_penalty_value,
                                  grad_distance_penalty, gradient_step_op,
                                  half_square, huber, identity_map,
-                                 linear_resolvent_op, project, projector_op,
-                                 prox_l1, prox_separable, resolvent_linear,
-                                 row_map, set_from_spec, square, yosida)
+                                 linear_resolvent_op, projector_op, prox_l1,
+                                 prox_separable, row_map, set_from_spec,
+                                 square, yosida)
 from blocksplit.operators import certify_averaged
 
 
@@ -110,7 +110,7 @@ class TestProjections:
     def test_set_from_spec(self):
         ball = set_from_spec({"set": "ball", "center": [0, 0], "radius": 1})
         assert isinstance(ball, Ball)
-        assert np.allclose(project(ball, [2.0, 0.0]), [1.0, 0.0])
+        assert np.allclose(ball.project([2.0, 0.0]), [1.0, 0.0])
         with pytest.raises(ValueError):
             set_from_spec({"set": "moon"})
 
@@ -118,20 +118,20 @@ class TestProjections:
 class TestResolvents:
     def test_zero_operator(self):
         x = np.array([1.0, -2.0])
-        assert np.allclose(resolvent_linear(np.zeros((2, 2)), 1.0, x), x)
+        assert np.allclose(linear_resolvent_op(np.zeros((2, 2)), 1.0)(x), x)
 
     def test_identity_operator(self):
-        out = resolvent_linear(np.eye(2), 1.0, [2.0, 4.0])
+        out = linear_resolvent_op(np.eye(2), 1.0)([2.0, 4.0])
         assert np.allclose(out, [1.0, 2.0])
 
     def test_rotation_is_monotone(self):
         A = np.array([[0.0, -1.0], [1.0, 0.0]])
-        out = resolvent_linear(A, 1.0, [1.0, 0.0])
+        out = linear_resolvent_op(A, 1.0)([1.0, 0.0])
         assert np.allclose(out, [0.5, -0.5])
 
     def test_nonmonotone_rejected(self):
         with pytest.raises(ValueError):
-            resolvent_linear(-np.eye(2), 1.0, [1.0, 1.0])
+            linear_resolvent_op(-np.eye(2), 1.0)
         with pytest.raises(ValueError):
             linear_resolvent_op(np.eye(2), 0.0)
 
@@ -202,6 +202,16 @@ class TestLinearMap:
             M = rng.standard_normal(shape)
             L = LinearMap(M)
             assert abs(L.norm - np.linalg.svd(M, compute_uv=False)[0]) <= 1e-10
+
+    def test_norm_exact_with_near_equal_top_singular_values(self):
+        # a power iteration stalls short of the top singular value when the
+        # next one is within 1e-9 of it
+        rng = np.random.default_rng(15)
+        Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        M = Q @ np.diag([2.0, 2.0 * (1.0 - 1e-9), 1.0, 0.5, 0.1]) @ Q.T
+        assert LinearMap(M).norm == np.linalg.norm(M, 2)
+        D = np.diag([1.0, 1.0 - 1e-9, 1.0 - 2e-9])
+        assert LinearMap(D).norm == 1.0
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(14)

@@ -310,6 +310,20 @@ class TestCLI:
         assert code == EXIT_CONFIG
         assert "x0" in err and "expected 4, got 3" in err
 
+    @pytest.mark.parametrize("variant", ["lasso", "least_squares"])
+    @pytest.mark.parametrize("row, col, bad", [(2, -1, "nan"), (4, 1, "inf")],
+                             ids=["nan-target", "inf-feature"])
+    def test_solve_non_finite_data(self, tmp_path, capsys, variant, row, col,
+                                   bad):
+        cfg = lasso_config(tmp_path)
+        cfg["problem"]["variant"] = variant
+        data = np.loadtxt(tmp_path / "data.csv", delimiter=",")
+        data[row, col] = float(bad)
+        np.savetxt(tmp_path / "data.csv", data, delimiter=",")
+        code, err = self.solve_error(tmp_path, capsys, cfg)
+        assert code == EXIT_CONFIG
+        assert f"row {row} has a non-finite" in err
+
     @pytest.mark.parametrize("key", ["trace", "summary"])
     def test_solve_output_in_missing_directory(self, tmp_path, capsys, key):
         cfg = lasso_config(tmp_path)
@@ -347,14 +361,28 @@ class TestCLI:
     @pytest.mark.parametrize("trace, weights, message", [
         ("trace.csv", "a,b", "could not convert string to float: 'a'"),
         ("missing.csv", "0.5,0.5", "cannot read trace"),
-    ], ids=["bad-weights", "missing-trace"])
+        ("empty.csv", "0.5,0.5", "need at least one recorded iterate"),
+    ], ids=["bad-weights", "missing-trace", "empty-trace"])
     def test_audit_bad_inputs(self, tmp_path, capsys, trace, weights, message):
         (tmp_path / "trace.csv").write_text("n\n")
+        (tmp_path / "empty.csv").write_text(
+            "n,residual,step,err0,errsum,block,dist_ref\n")
         code, err = self.cli_error(capsys, [
             "audit", "--trace", str(tmp_path / trace), "--weights", weights,
             "--K", "1"])
         assert code == EXIT_CONFIG
         assert message in err
+
+    @pytest.mark.parametrize("K", ["0", "-3"])
+    def test_audit_nonpositive_K(self, tmp_path, capsys, K):
+        path = tmp_path / "trace.csv"
+        path.write_text("n,residual,step,err0,errsum,block,dist_ref\n"
+                        "0,1.0,1.0,,,1|2,1.0\n"
+                        "1,0.5,,,,,0.5\n")
+        code, err = self.cli_error(capsys, [
+            "audit", "--trace", str(path), "--weights", "0.5,0.5", "--K", K])
+        assert code == EXIT_CONFIG
+        assert f"K must be >= 1, got {K}" in err
 
     def test_audit_pass_and_fail(self, tmp_path, capsys):
         from blocksplit.solver import SolverConfig, run

@@ -241,6 +241,15 @@ class TestLogistic:
         with pytest.raises(ValueError, match="labels"):
             logistic_problem(np.ones((2, 2)), [0.5, 1.0], reg=0.1)
 
+    @pytest.mark.parametrize("row, col", [(2, 1), (1, 3)],
+                             ids=["feature", "label"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, row, col, bad):
+        data = np.column_stack([np.ones((4, 3)), [0.0, 1.0, 0.0, 1.0]])
+        data[row, col] = bad
+        with pytest.raises(ValueError, match=f"row {row} has a non-finite"):
+            logistic_problem(data[:, :3], data[:, 3], reg=0.1)
+
 
 class TestFeasibilityRelaxation:
     def test_consistent_start_is_fixed(self):

@@ -1,5 +1,9 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blocksplit.schedules import (BlockSchedule, CoveringError,
                                   check_concentrating, ConcentratingRow,
@@ -50,6 +54,20 @@ class TestGenerators:
         assert a.block(17) == b.block(17)
         assert all(a.block(n) == b.block(n) for n in range(30))
 
+    # SHA-256 of the first 300 blocks; every trace run on these
+    # schedules depends on them
+    @pytest.mark.parametrize("m, K, seed, digest", [
+        (30, 5, 1, "91cbc75950068dc13c458c8b20d03ab5891fc9cb9e6c62d78e145ac052780b55"),
+        (7, 4, 3, "98307a02e0bcc2b3234ade749cc94e4af257bdb50a142fc8495bc3539febbae9"),
+        (12, 1, 0, "4814c9a5fef095200e6e22539daf3ff928ea1b02aa893d681ca58e1852c5c240"),
+        (1, 3, 2, "908be9410ad636ad0ebfb81730b11a7b83819a545c28b9fac4aa542a897592a3"),
+    ])
+    def test_quasicyclic_blocks_pinned(self, m, K, seed, digest):
+        s = make_quasicyclic_random(m, K, seed)
+        text = ";".join(",".join(map(str, sorted(s.block(n))))
+                        for n in range(300))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_explicit_and_spec(self):
         s = schedule_from_spec({"type": "explicit", "m": 3, "K": 2,
                                 "blocks": [[1, 2], [3]]})
@@ -80,6 +98,18 @@ class TestCovering:
     def test_horizon_precondition(self):
         with pytest.raises(ValueError):
             validate_covering(make_cyclic(3, 1), 2)
+
+    def test_corrupt_block_propagates(self):
+        s = BlockSchedule(3, 2, lambda n: {1, 2, 3} if n != 3 else set())
+        with pytest.raises(CoveringError, match="empty block at n=3"):
+            validate_covering(s, 10)
+
+    def test_error_carries_window(self):
+        last = [-1] * 4
+        record_activation(last, {1, 2}, 0, 2)
+        with pytest.raises(CoveringError) as info:
+            record_activation(last, {2}, 1, 2)
+        assert (info.value.start, info.value.missing) == (0, [3, 4])
 
 
 class TestLastActivation:
@@ -247,3 +277,85 @@ class TestLagIdentity:
         s = make_full(2)
         with pytest.raises(ValueError):
             lag_identity_check(s, [0.5, 0.5], 3, np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# properties over generated schedules
+
+WINDOW_MESSAGE = re.compile(
+    r"covering violated: indices \[([\d, ]*)\] absent from window "
+    r"starting at n=(\d+) \(K=(\d+)\)$")
+
+
+@st.composite
+def explicit_schedules(draw):
+    m = draw(st.integers(1, 6))
+    K = draw(st.integers(1, 5))
+    blocks = draw(st.lists(st.sets(st.integers(1, m), min_size=1),
+                           min_size=1, max_size=6))
+    return make_explicit(m, K, [sorted(b) for b in blocks])
+
+
+quasicyclic_schedules = st.builds(
+    make_quasicyclic_random, st.integers(1, 12), st.integers(1, 7),
+    st.integers(0, 2**32 - 1))
+
+
+def covering_by_window_scan(schedule, horizon):
+    """First failing window (start, missing) found through last_activation."""
+    K = schedule.K
+    for n in range(K - 1, horizon):
+        missing = []
+        for i in range(1, schedule.m + 1):
+            try:
+                last_activation(schedule, i, n)
+            except CoveringError:
+                missing.append(i)
+        if missing:
+            return n - K + 1, missing
+    return None
+
+
+class TestCoveringProperties:
+    @settings(deadline=None)
+    @given(explicit_schedules(), st.integers(0, 20))
+    def test_validate_covering_matches_window_scan(self, schedule, extra):
+        horizon = schedule.K + extra
+        assert (validate_covering(schedule, horizon)
+                == covering_by_window_scan(schedule, horizon))
+
+    @settings(deadline=None)
+    @given(quasicyclic_schedules)
+    def test_quasicyclic_covers(self, schedule):
+        assert validate_covering(schedule, schedule.K + 60) is None
+
+    @settings(deadline=None)
+    @given(st.one_of(explicit_schedules(), quasicyclic_schedules))
+    def test_record_activation_matches_last_activation(self, schedule):
+        K = schedule.K
+        last = [-1] * schedule.m
+        for n in range(K + 30):
+            try:
+                record_activation(last, schedule.block(n), n, K)
+            except CoveringError as exc:
+                assert (covering_by_window_scan(schedule, n + 1)
+                        == (exc.start, exc.missing))
+                return
+            if n >= K - 1:
+                assert last == [last_activation(schedule, i, n)
+                                for i in range(1, schedule.m + 1)]
+        assert covering_by_window_scan(schedule, K + 30) is None
+
+    @settings(deadline=None)
+    @given(explicit_schedules())
+    def test_error_attributes_match_message(self, schedule):
+        K = schedule.K
+        last = [-1] * schedule.m
+        try:
+            for n in range(K + 12):
+                record_activation(last, schedule.block(n), n, K)
+        except CoveringError as exc:
+            match = WINDOW_MESSAGE.match(str(exc))
+            assert match is not None
+            assert exc.missing == [int(i) for i in match[1].split(", ")]
+            assert exc.start == int(match[2]) and K == int(match[3])

@@ -14,7 +14,8 @@ from blocksplit.schedules import (CoveringError, last_activation, make_cyclic,
                                   make_quasicyclic_random)
 from blocksplit.solver import (SeededDecayErrors, SolverConfig, fejer_audit,
                                fejer_audit_arrays, fixed_point_residual,
-                               linear_rate_audit, run, run_economical)
+                               linear_rate_audit, linear_rate_audit_arrays,
+                               run, run_economical)
 
 AXIS_X = projector_op(Hyperplane([0.0, 1.0], 0.0))
 AXIS_Y = projector_op(Hyperplane([1.0, 0.0], 0.0))
@@ -286,6 +287,25 @@ class TestFejerAudit:
         with pytest.raises(ValueError, match="outside 1..2"):
             fejer_audit_arrays([1.0, 0.5], [0.0] * 2, [0.0] * 2, blocks,
                                [0.5, 0.5], K=1, slack=1e-9)
+
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_nonpositive_K_rejected(self, K):
+        blocks = [frozenset({1, 2}), None]
+        with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
+            fejer_audit_arrays([1.0, 0.5], [0.0] * 2, [0.0] * 2, blocks,
+                               [0.5, 0.5], K=K)
+        with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
+            linear_rate_audit_arrays([1.0, 0.5], 0.5, [1.0, 1.0], [0.5, 0.5],
+                                     K=K)
+
+    def test_default_slacks(self):
+        blocks = [frozenset({1, 2})] * 3 + [None]
+        dists = [3.0, 1.0, 0.5, 0.25]
+        rep = fejer_audit_arrays(dists, [0.0] * 4, [0.0] * 4, blocks,
+                                 [0.5, 0.5], K=1)
+        assert rep.slack == 1e-9 * (1.0 + 3.0)
+        rep = linear_rate_audit_arrays(dists, 0.5, [1.0, 1.0], [0.5, 0.5], K=2)
+        assert rep.slack == 1e-12 * (1.0 + 3.0)
 
     def test_errors_included_in_bound(self):
         cfg = axis_contraction_cfg(max_iters=80,
