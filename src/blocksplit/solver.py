@@ -50,7 +50,7 @@ class SeededDecayErrors:
             return np.zeros(dim)
         rng = np.random.default_rng([self.seed, i, n])
         direction = rng.standard_normal(dim)
-        nd = np.linalg.norm(direction)
+        nd = norm(direction)
         if nd == 0.0:
             direction = np.zeros(dim)
             direction[0] = 1.0

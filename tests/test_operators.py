@@ -1,11 +1,16 @@
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from blocksplit import operators
 from blocksplit.calculus import Ball, Box, Halfspace, Hyperplane, projector_op
 from blocksplit.operators import (AveragedOp, NonFiniteError, apply,
                                   certify_averaged, compose,
                                   convex_combination, identity_op,
-                                  kahan_weighted_sum, relax, scaling_op)
+                                  kahan_weighted_sum, norm, relax, scaling_op)
 
 
 def proj_x_axis():
@@ -208,3 +213,58 @@ def test_kahan_weighted_sum_matches_fsum():
     want = np.array([math.fsum(w[i] * vecs[i][k] for i in range(12))
                      for k in range(4)])
     assert np.max(np.abs(got - want)) <= 1e-13 * (1 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n_weights", [1, 2, 4])
+def test_kahan_weighted_sum_needs_one_weight_per_vector(n_weights):
+    vecs = [np.ones(2), np.ones(2), np.ones(2)]
+    with pytest.raises(ValueError, match="one weight per vector"):
+        kahan_weighted_sum(vecs, np.full(n_weights, 0.5))
+
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@st.composite
+def cancelling_rows(draw):
+    """m rows scaled over 16 decades, half of them near-negatives of the
+    other half, in shuffled order, with positive weights."""
+    m = draw(st.integers(1, 70))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vecs = rng.standard_normal((m, dim)) * 10.0 ** rng.uniform(-8, 8, (m, 1))
+    h = m // 2
+    vecs[h:2 * h] = -vecs[:h] * (1.0 + 1e-12 * rng.standard_normal((h, 1)))
+    return vecs[rng.permutation(m)], rng.uniform(0.01, 1.0, m)
+
+
+@settings(deadline=None, max_examples=200)
+@given(cancelling_rows(), st.sampled_from([None, 2, 5, 16]))
+def test_kahan_weighted_sum_within_compensated_bound(rows, chunk_rows):
+    """Against the exact sum S of the rounded products p_i = fl(w_i v_i):
+    |got - S| <= 2u|S| + (m u)^2 sum_i |p_i|, per coordinate, also when the
+    rows go through the tree in chunks."""
+    vecs, w = rows
+    m, dim = vecs.shape
+    chunk = (operators._SUM_CHUNK_BYTES if chunk_rows is None
+             else 8 * dim * chunk_rows)
+    with mock.patch.object(operators, "_SUM_CHUNK_BYTES", chunk):
+        got = kahan_weighted_sum(vecs, w)
+        assert got.tobytes() == kahan_weighted_sum(list(vecs), list(w)).tobytes()
+    products = w[:, None] * vecs
+    for k in range(dim):
+        exact = sum(map(Fraction, products[:, k]), Fraction(0))
+        bound = (2 * UNIT_ROUNDOFF * abs(float(exact))
+                 + (m * UNIT_ROUNDOFF) ** 2 * float(np.abs(products[:, k]).sum()))
+        assert abs(Fraction(got[k]) - exact) <= bound
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.floats(-1e150, 1e150), max_size=40),
+       st.integers(0, 2**32 - 1))
+def test_norm_is_bit_identical_to_numpy(values, seed):
+    rng = np.random.default_rng(seed)
+    for x in (np.array(values, dtype=float),
+              rng.standard_normal(len(values))
+              * 10.0 ** rng.uniform(-150, 150, len(values))):
+        assert norm(x) == float(np.linalg.norm(x))

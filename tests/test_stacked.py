@@ -2,8 +2,12 @@
 ``eval_block`` evaluates a whole block in one call, bit for bit as its rows
 evaluated one at a time through ``apply``."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blocksplit.harness import (direct_mann_iteration, synthetic_regression,
                                 synthetic_unit_rows, write_trace_csv)
@@ -73,6 +77,32 @@ def test_stacked_and_list_runs_write_identical_traces(name, runner, errors,
         paths.append(tmp_path / f"{type(ts).__name__}.csv")
         write_trace_csv(paths[-1], res.trace)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(sorted(BUILDERS)), st.integers(1, 5),
+       st.integers(0, 25), st.integers(0, 2**16), st.integers(1, 12),
+       st.integers(1, 5), st.booleans())
+def test_stacked_and_list_runs_agree_on_generated_problems(
+        name, d, extra_rows, seed, block_size, check_every, errors):
+    """Generated sizes, data, schedules and check periods: plain and
+    economical runs on the RowStack and on list(ts) write the same bytes."""
+    prob = BUILDERS[name](d=d, m=d + extra_rows, seed=seed)
+    cfg = SolverConfig(
+        weights=prob.weights,
+        schedule=make_cyclic(prob.m, min(block_size, prob.m)),
+        max_iters=40, tol_residual=-1.0, check_every=check_every,
+        error_model=SeededDecayErrors(0.01, seed=seed) if errors else None)
+    x0 = np.random.default_rng(seed).standard_normal(prob.dim)
+    with tempfile.TemporaryDirectory() as tmp:
+        for runner in (run, run_economical):
+            traces = []
+            for ts in (prob.ts, list(prob.ts)):
+                path = Path(tmp) / f"{type(ts).__name__}.csv"
+                write_trace_csv(path, runner(prob.t0, ts, cfg, x0,
+                                             x_ref=np.zeros(prob.dim)).trace)
+                traces.append(path.read_bytes())
+            assert traces[0] == traces[1]
 
 
 @pytest.mark.parametrize("name", ["lasso", "least_squares"])
