@@ -322,10 +322,13 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
         error_model = None
         if "errors" in cfg and cfg["errors"]:
             ecfg = cfg["errors"]
-            error_model = SeededDecayErrors(
-                ecfg.get("c", 0.0),
-                seed=seed if seed is not None else ecfg.get("seed", 0),
-                p=ecfg.get("p", 2.0))
+            try:
+                error_model = SeededDecayErrors(
+                    ecfg.get("c", 0.0),
+                    seed=seed if seed is not None else ecfg.get("seed", 0),
+                    p=ecfg.get("p", 2.0))
+            except ValueError as exc:
+                raise ConfigError(f"errors: {exc}") from exc
         solver_cfg = SolverConfig(
             weights=problem.weights,
             schedule=schedule,

@@ -16,9 +16,12 @@ the geometric envelope implied by declared contraction factors.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .operators import (AveragedOp, NonFiniteError, apply, as_point,
                         check_weights, kahan_weighted_sum, norm)
@@ -26,37 +29,168 @@ from .schedules import BlockSchedule, record_activation
 
 
 # ---------------------------------------------------------------------------
-# configuration and state
+# injected errors
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): hashmix
+# constants for the entropy pool, the mix multipliers, and the output chain
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+
+
+def _hash_chain(h, mult, count):
+    """(xor constant, multiplier) of ``count`` successive hashmix calls."""
+    out = []
+    for _ in range(count):
+        prev, h = h, (h * mult) & _MASK32
+        out.append((prev, h))
+    return out
+
+
+def _cross_mix_constants():
+    """Per source word s of the pool, the (4, 1) xor constants and
+    multipliers of hashmix(pool[s]) as mixed into each other word, in the
+    order SeedSequence mixes them; row s is unused."""
+    groups = []
+    for src in range(4):
+        xor = np.zeros((4, 1), np.uint32)
+        mul = np.zeros((4, 1), np.uint32)
+        for k, dst in enumerate(d for d in range(4) if d != src):
+            xor[dst], mul[dst] = _POOL_HASH[4 + 3 * src + k]
+        groups.append((src, xor, mul))
+    return groups
+
+
+def _column(pairs):
+    """The xor constants and the multipliers of ``pairs`` as (k, 1) arrays."""
+    return (np.array(col, np.uint32)[:, None] for col in zip(*pairs))
+
+
+# 4 pool fills, then 12 cross-mixes: source word s into every other word
+_POOL_HASH = _hash_chain(_INIT_A, _MULT_A, 16)
+_FILL_XOR, _FILL_MUL = _column(_POOL_HASH[:4])
+_CROSS = _cross_mix_constants()
+_OUT_XOR, _OUT_MUL = _column(_hash_chain(_INIT_B, _MULT_B, 8))
+_U16 = np.array(16, np.uint32)
+_U_MIX_L = np.array(_MIX_L, np.uint32)
+_U_MIX_R = np.array(_MIX_R, np.uint32)
+
+
+def _seed_words(seed, idx, n):
+    """``SeedSequence([seed, i, n]).generate_state(4, np.uint64)`` for every
+    i of the uint32 vector ``idx``, as a ``(len(idx), 4)`` matrix.
+
+    Each entropy word is below 2**32, so the entropy is the three words
+    (seed, i, n) and the 4-word pool is filled with their hashmixes and one
+    of 0, a pool column per i. The three cross-mixes from each source word
+    update the whole pool at once, the source row restored after. Output:
+    8 uint32 words hashed from the pool, little-endian pairs read as uint64.
+    """
+    pool = np.empty((4, idx.size), np.uint32)
+    pool[0] = seed
+    pool[1] = idx
+    pool[2] = n
+    pool[3] = 0
+    pool ^= _FILL_XOR
+    pool *= _FILL_MUL
+    pool ^= pool >> _U16
+    h = np.empty_like(pool)
+    for src, xor, mul in _CROSS:
+        keep = pool[src].copy()
+        np.bitwise_xor(keep, xor, out=h)
+        h *= mul
+        h ^= h >> _U16
+        h *= _U_MIX_R
+        pool *= _U_MIX_L
+        pool -= h
+        pool ^= pool >> _U16
+        pool[src] = keep
+    out = np.concatenate((pool, pool))
+    out ^= _OUT_XOR
+    out *= _OUT_MUL
+    out ^= out >> _U16
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(
+        np.uint64, copy=False)
+
+
+class _Words(ISeedSequence):
+    """A seed sequence that hands PCG64 its four precomputed state words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _word(value, name):
+    """``value`` as an int in [0, 2**32): one SeedSequence entropy word."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer in [0, 2**32), "
+                         f"got {value!r}") from None
+    if not 0 <= value <= _MASK32:
+        raise ValueError(f"{name} must lie in [0, 2**32), got {value}")
+    return value
+
 
 class SeededDecayErrors:
     """Deterministic summable perturbations e_{i,n} for robustness tests.
 
-    Directions are seeded per (i, n); magnitudes are c / (n+1)**p, so the
-    lagged error sums required by the convergence theory stay finite for
-    p > 1. i = 0 addresses the outer operator.
+    e_{i,n} is a pure function of (seed, i, n): the direction is
+    ``np.random.default_rng([seed, i, n]).standard_normal(dim)`` normalised,
+    the magnitude c / (n+1)**p, so the lagged error sums required by the
+    convergence theory stay finite for p > 1. i = 0 addresses the outer
+    operator. seed, i and n each lie in [0, 2**32).
+
+    ``error`` takes one index or a 1-D integer array of them and draws a
+    whole block in one call, each row bit for bit the single-index draw.
     """
 
     def __init__(self, c, seed=0, p=2.0):
+        if not (math.isfinite(c) and math.isfinite(p)):
+            raise ValueError(f"need finite c and p, got c={c!r}, p={p!r}")
         if c < 0 or p <= 1.0:
             raise ValueError("need c >= 0 and decay exponent p > 1")
-        if int(seed) < 0:
-            raise ValueError("seed must be nonnegative")
         self.c = float(c)
-        self.seed = int(seed)
+        self.seed = _word(seed, "seed")
         self.p = float(p)
 
     def error(self, i, n, dim):
-        if self.c == 0.0:
-            return np.zeros(dim)
-        rng = np.random.default_rng([self.seed, i, n])
-        direction = rng.standard_normal(dim)
-        nd = norm(direction)
-        if nd == 0.0:
-            direction = np.zeros(dim)
-            direction[0] = 1.0
-            nd = 1.0
-        return (self.c / (n + 1.0) ** self.p) * (direction / nd)
+        """e_{i,n} as a vector for an int ``i``; for a 1-D integer array
+        ``i``, the matrix whose row r is e_{i[r],n}."""
+        idx = np.asarray(i)
+        if idx.ndim > 1 or idx.dtype.kind not in "iu":
+            raise ValueError("error indices must be an int or a 1-D integer "
+                             "array")
+        if idx.size and (idx.min() < 0 or idx.max() > _MASK32):
+            raise ValueError("error indices must lie in [0, 2**32)")
+        n = _word(n, "n")
+        rows = idx.reshape(-1).astype(np.uint32)
+        out = np.zeros((rows.size, dim))
+        if self.c != 0.0:
+            norms = np.empty(rows.size)
+            for r, words in enumerate(_seed_words(self.seed, rows, n)):
+                rng = np.random.Generator(np.random.PCG64(_Words(words)))
+                rng.standard_normal(out=out[r])
+                nd = norm(out[r])
+                if nd == 0.0:
+                    out[r, 0] = 1.0
+                    nd = 1.0
+                norms[r] = nd
+            out /= norms[:, None]
+            out *= self.c / (n + 1.0) ** self.p
+        return out if idx.ndim else out[0]
 
+
+# ---------------------------------------------------------------------------
+# configuration and state
 
 @dataclass
 class SolverConfig:
@@ -77,7 +211,9 @@ class SolverConfig:
     tol_residual: float = 1e-10
     check_every: int = 10
     t_init: object = None            # default: x0 replicated
-    error_model: object = None       # object with .error(i, n, dim)
+    # object whose .error(indices, n, dim) returns one row e_{i,n} per
+    # index of the 1-D int array ``indices``; index 0 is the outer operator
+    error_model: object = None
     record_buffers: bool = False
 
     def __post_init__(self):
@@ -263,10 +399,10 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         if cfg.error_model is None:
             tbuf[idx] = outs
         else:
-            for i, out in zip(active, outs):
-                e = np.asarray(cfg.error_model.error(i, n, dim), dtype=float)
-                tbuf[i - 1] = out + e
-                err_norms[i - 1] = norm(e)
+            # row 0 is e_{0,n}, the others e_{i,n} for the active i
+            errs = cfg.error_model.error(np.array([0, *active]), n, dim)
+            tbuf[idx] = outs + errs[1:]
+            err_norms[idx] = [norm(e) for e in errs[1:]]
 
         if economical:
             z = y + w[idx] @ tbuf[idx]
@@ -280,9 +416,8 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         x_next = apply(t0n, mean)
         err0 = 0.0
         if cfg.error_model is not None:
-            e0 = np.asarray(cfg.error_model.error(0, n, dim), dtype=float)
-            x_next = x_next + e0
-            err0 = norm(e0)
+            x_next = x_next + errs[0]
+            err0 = norm(errs[0])
         if not np.isfinite(x_next).all():
             raise NonFiniteError(f"iterate became non-finite at n={n}")
 

@@ -324,6 +324,21 @@ class TestCLI:
         assert code == EXIT_CONFIG
         assert f"row {row} has a non-finite" in err
 
+    @pytest.mark.parametrize("errors, message", [
+        ({"c": float("nan")}, "need finite c and p"),
+        ({"c": float("inf")}, "need finite c and p"),
+        ({"c": 0.01, "p": float("nan")}, "need finite c and p"),
+        ({"c": 0.01, "p": float("inf")}, "need finite c and p"),
+        ({"c": 0.01, "seed": 1.7}, "seed must be an integer"),
+        ({"c": 0.01, "seed": 2**32}, "seed must lie in [0, 2**32)"),
+    ], ids=["c-nan", "c-inf", "p-nan", "p-inf", "seed-fraction",
+            "seed-too-large"])
+    def test_solve_bad_error_model(self, tmp_path, capsys, errors, message):
+        cfg = lasso_config(tmp_path, errors=errors)
+        code, err = self.solve_error(tmp_path, capsys, cfg)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: errors: ") and message in err
+
     @pytest.mark.parametrize("key", ["trace", "summary"])
     def test_solve_output_in_missing_directory(self, tmp_path, capsys, key):
         cfg = lasso_config(tmp_path)
