@@ -5,6 +5,7 @@ the gradient of smooth distance penalties phi(d_D(Lx)).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +146,9 @@ class FullSpace(ConvexSet):
 def set_from_spec(spec):
     """Build a set from a config mapping, e.g. {"set": "ball", "center": [0, 0],
     "radius": 1}."""
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"set spec must be a mapping, got "
+                         f"{type(spec).__name__}")
     kind = spec.get("set")
     if kind == "box":
         return Box(spec["lower"], spec["upper"])

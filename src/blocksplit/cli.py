@@ -7,9 +7,9 @@ import argparse
 import json
 import sys
 
-from .harness import (ConfigError, EXIT_CONFIG, EXIT_COVERING, load_config,
-                      replay_fejer_from_csv, replay_linear_rate_from_csv,
-                      run_experiment)
+from .harness import (ConfigError, EXIT_CONFIG, EXIT_COVERING, config_section,
+                      load_config, replay_fejer_from_csv,
+                      replay_linear_rate_from_csv, run_experiment)
 from .schedules import check_concentrating, mu_row, schedule_from_spec, validate_covering
 
 
@@ -71,9 +71,8 @@ def _cmd_solve(args):
 def _cmd_schedule_check(args):
     try:
         if args.config:
-            spec = load_config(args.config).get("schedule")
-            if spec is None:
-                raise ConfigError("config has no schedule section")
+            spec = config_section(load_config(args.config), "schedule",
+                                  required=True)
         else:
             if args.stype is None or args.m is None:
                 raise ConfigError("need --config or --type/--m")

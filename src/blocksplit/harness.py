@@ -224,13 +224,32 @@ def replay_linear_rate_from_csv(path, rho0, rhos, weights, K, slack=None):
 # experiment configs
 
 def load_config(path):
+    """The JSON object in the config file ``path``."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got "
+                          f"{type(cfg).__name__}")
+    return cfg
+
+
+def config_section(cfg, name, required=False):
+    """The ``name`` section of a config, ``{}`` when it is absent and not
+    ``required``; a section that is not a JSON object is a ConfigError."""
+    if name not in cfg:
+        if required:
+            raise ConfigError(f"config has no {name} section")
+        return {}
+    section = cfg[name]
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} section must be a JSON object, got "
+                          f"{type(section).__name__}")
+    return section
 
 
 def load_data_csv(path):
@@ -310,8 +329,8 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
     """
     started = time.perf_counter()
     try:
-        scfg = dict(cfg.get("solver", {}))
-        sched_spec = dict(cfg["schedule"])
+        scfg = dict(config_section(cfg, "solver"))
+        sched_spec = dict(config_section(cfg, "schedule", required=True))
         if seed is not None and sched_spec.get("type") == "quasicyclic":
             sched_spec["seed"] = seed
         problem = build_problem_from_config(cfg["problem"], base_dir)
@@ -320,8 +339,8 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
             raise ConfigError(
                 f"schedule has m={schedule.m} but problem has m={problem.m}")
         error_model = None
-        if "errors" in cfg and cfg["errors"]:
-            ecfg = cfg["errors"]
+        ecfg = config_section(cfg, "errors")
+        if ecfg:
             try:
                 error_model = SeededDecayErrors(
                     ecfg.get("c", 0.0),
@@ -345,7 +364,18 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
                           dim=problem.dim)
         except ValueError as exc:
             raise ConfigError(f"solver.x0: {exc}") from exc
-        audits_cfg = cfg.get("audits", {})
+        audits_cfg = config_section(cfg, "audits")
+        reference_iters = audits_cfg.get("reference_iters", 200_000)
+        if (isinstance(reference_iters, bool)
+                or not isinstance(reference_iters, int) or reference_iters < 0):
+            raise ConfigError(f"audits.reference_iters must be an integer "
+                              f">= 0, got {reference_iters!r}")
+        output_cfg = config_section(cfg, "output")
+        for key in ("trace", "summary"):
+            path = output_cfg.get(key)
+            if path is not None and not isinstance(path, str):
+                raise ConfigError(f"output.{key} must be a path string, got "
+                                  f"{path!r}")
     except ConfigError as exc:
         return EXIT_CONFIG, {"error": str(exc)}
     except (KeyError, TypeError, ValueError) as exc:
@@ -358,8 +388,7 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
             ref = run(problem.t0, problem.ts,
                       SolverConfig(weights=problem.weights,
                                    schedule=make_full(problem.m),
-                                   max_iters=int(audits_cfg.get(
-                                       "reference_iters", 200_000)),
+                                   max_iters=reference_iters,
                                    tol_residual=1e-13,
                                    check_every=10),
                       x0)
@@ -399,8 +428,8 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
             fejer_audit(result.trace, x_ref, problem.weights, schedule.K).passed)
 
     if trace_out is None:
-        trace_out = cfg.get("output", {}).get("trace")
-    summary_path = cfg.get("output", {}).get("summary")
+        trace_out = output_cfg.get("trace")
+    summary_path = output_cfg.get("summary")
     try:
         if trace_out:
             write_trace_csv(Path(base_dir) / trace_out, result.trace)

@@ -24,8 +24,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .operators import (AveragedOp, NonFiniteError, apply, as_point,
-                        check_weights, kahan_weighted_sum, norm)
-from .schedules import BlockSchedule, record_activation
+                        check_weights, kahan_weighted_sum, norm, row_norms)
+from .schedules import BlockSchedule, CoveringError, record_activation
 
 
 # ---------------------------------------------------------------------------
@@ -77,20 +77,21 @@ _U_MIX_L = np.array(_MIX_L, np.uint32)
 _U_MIX_R = np.array(_MIX_R, np.uint32)
 
 
-def _seed_words(seed, idx, n):
+def _seed_words(seed, idx, steps):
     """``SeedSequence([seed, i, n]).generate_state(4, np.uint64)`` for every
-    i of the uint32 vector ``idx``, as a ``(len(idx), 4)`` matrix.
+    pair (i, n) of the uint32 vectors ``idx`` and ``steps`` (a uint32 scalar
+    ``steps`` serves every i), as a ``(len(idx), 4)`` matrix.
 
     Each entropy word is below 2**32, so the entropy is the three words
     (seed, i, n) and the 4-word pool is filled with their hashmixes and one
-    of 0, a pool column per i. The three cross-mixes from each source word
+    of 0, a pool column per pair. The three cross-mixes from each source word
     update the whole pool at once, the source row restored after. Output:
     8 uint32 words hashed from the pool, little-endian pairs read as uint64.
     """
     pool = np.empty((4, idx.size), np.uint32)
     pool[0] = seed
     pool[1] = idx
-    pool[2] = n
+    pool[2] = steps
     pool[3] = 0
     pool ^= _FILL_XOR
     pool *= _FILL_MUL
@@ -149,8 +150,14 @@ class SeededDecayErrors:
     convergence theory stay finite for p > 1. i = 0 addresses the outer
     operator. seed, i and n each lie in [0, 2**32).
 
-    ``error`` takes one index or a 1-D integer array of them and draws a
-    whole block in one call, each row bit for bit the single-index draw.
+    ``error(indices, steps, dim)`` draws many errors in one call: for a 1-D
+    integer array of indices and either one step n or a 1-D integer array of
+    one step per index, row r is e_{indices[r], n} or e_{indices[r],
+    steps[r]}, bit for bit the single-index draw. The seed hash, the
+    normalisation and the scaling each run once over all rows; only the
+    PCG64 generator and its standard normal draw are per row. Each scale
+    c / (n+1)**p is Python's float power (the C library's ``pow``), once per
+    distinct step: numpy's ``power`` rounds some of them differently.
     """
 
     def __init__(self, c, seed=0, p=2.0):
@@ -164,28 +171,38 @@ class SeededDecayErrors:
 
     def error(self, i, n, dim):
         """e_{i,n} as a vector for an int ``i``; for a 1-D integer array
-        ``i``, the matrix whose row r is e_{i[r],n}."""
+        ``i``, the matrix whose row r is e_{i[r],n}, or e_{i[r],n[r]} when
+        ``n`` is a 1-D integer array as long as ``i``."""
         idx = np.asarray(i)
         if idx.ndim > 1 or idx.dtype.kind not in "iu":
             raise ValueError("error indices must be an int or a 1-D integer "
                              "array")
         if idx.size and (idx.min() < 0 or idx.max() > _MASK32):
             raise ValueError("error indices must lie in [0, 2**32)")
-        n = _word(n, "n")
+        steps = np.asarray(n)
+        if steps.ndim == 0:
+            steps = np.array(_word(n, "n"))
+        elif steps.dtype.kind not in "iu" or steps.shape != idx.shape[:1]:
+            raise ValueError("steps must be an int or a 1-D integer array "
+                             "with one step per index")
+        elif steps.size and (steps.min() < 0 or steps.max() > _MASK32):
+            raise ValueError("steps must lie in [0, 2**32)")
         rows = idx.reshape(-1).astype(np.uint32)
         out = np.zeros((rows.size, dim))
         if self.c != 0.0:
-            norms = np.empty(rows.size)
-            for r, words in enumerate(_seed_words(self.seed, rows, n)):
-                rng = np.random.Generator(np.random.PCG64(_Words(words)))
+            words = _seed_words(self.seed, rows, steps.astype(np.uint32))
+            for r, state in enumerate(words):
+                rng = np.random.Generator(np.random.PCG64(_Words(state)))
                 rng.standard_normal(out=out[r])
-                nd = norm(out[r])
-                if nd == 0.0:
-                    out[r, 0] = 1.0
-                    nd = 1.0
-                norms[r] = nd
+            norms = row_norms(out)
+            zero = norms == 0.0
+            out[zero, 0] = 1.0
+            norms[zero] = 1.0
             out /= norms[:, None]
-            out *= self.c / (n + 1.0) ** self.p
+            distinct, where = np.unique(steps, return_inverse=True)
+            scales = np.array([self.c / (k + 1.0) ** self.p
+                               for k in distinct.tolist()])
+            out *= scales[where].reshape(-1, 1)
         return out if idx.ndim else out[0]
 
 
@@ -211,8 +228,10 @@ class SolverConfig:
     tol_residual: float = 1e-10
     check_every: int = 10
     t_init: object = None            # default: x0 replicated
-    # object whose .error(indices, n, dim) returns one row e_{i,n} per
-    # index of the 1-D int array ``indices``; index 0 is the outer operator
+    # object whose .error(indices, steps, dim) returns one row
+    # e_{indices[r], steps[r]} per entry of two equal-length 1-D int arrays;
+    # index 0 is the outer operator. The solver draws a window of upcoming
+    # iterations per call, so a row must not depend on when it is drawn.
     error_model: object = None
     record_buffers: bool = False
 
@@ -301,6 +320,43 @@ def fixed_point_residual(x, t0, ts, weights):
 # ---------------------------------------------------------------------------
 # main iterations
 
+# bytes of error rows drawn per window of iterations: the per-call cost of
+# the error model (its seed hash, row norms and scaling) is paid once a
+# window, and the window's rows stay small at any dimension
+_ERROR_WINDOW_BYTES = 1 << 17
+
+
+def _error_window(model, schedule, active, start, stop, dim):
+    """The injected errors of iterations start, start+1, ..., drawn in one
+    ``model.error`` call, with their row norms.
+
+    Iteration k gets the rows [0, *sorted(I_k)] at step k, row 0 being
+    e_{0,k}; ``active`` is iteration start's sorted block. The window ends
+    before ``stop`` (the iteration cap), before its rows would pass
+    ``_ERROR_WINDOW_BYTES`` and before a block the schedule rejects as
+    corrupt, whose CoveringError the loop then raises at its own n;
+    iteration start is always in it. Returns the rows, their norms and the
+    first row of each iteration, with one more entry for the end.
+    """
+    max_rows = _ERROR_WINDOW_BYTES // (8 * dim)
+    indices = [0, *active]
+    starts = [0, len(indices)]
+    for k in range(start + 1, stop):
+        try:
+            block = sorted(schedule.block(k))
+        except CoveringError:
+            # a corrupt block belongs to iteration k, which may never run
+            break
+        if len(indices) + 1 + len(block) > max_rows:
+            break
+        indices += [0, *block]
+        starts.append(len(indices))
+    steps = np.repeat(np.arange(start, start + len(starts) - 1),
+                      np.diff(starts))
+    errs = model.error(np.array(indices), steps, dim)
+    return errs, row_norms(errs), starts
+
+
 def run(t0, ts, cfg, x0, x_ref=None):
     """Run the block-update iteration; the weighted buffer mean is rebuilt
     from scratch every iteration."""
@@ -345,6 +401,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         if tbuf.shape != (m, dim):
             raise ValueError(f"t_init must provide {m} vectors of length {dim}")
     err_norms = np.zeros(m)
+    window_end = 0
     if economical:
         z = w @ tbuf
 
@@ -399,10 +456,15 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         if cfg.error_model is None:
             tbuf[idx] = outs
         else:
+            if n == window_end:
+                window_errs, window_norms, starts = _error_window(
+                    cfg.error_model, schedule, active, n, cfg.max_iters, dim)
+                window_start, window_end = n, n + len(starts) - 1
             # row 0 is e_{0,n}, the others e_{i,n} for the active i
-            errs = cfg.error_model.error(np.array([0, *active]), n, dim)
+            lo, hi = starts[n - window_start], starts[n - window_start + 1]
+            errs = window_errs[lo:hi]
             tbuf[idx] = outs + errs[1:]
-            err_norms[idx] = [norm(e) for e in errs[1:]]
+            err_norms[idx] = window_norms[lo + 1:hi]
 
         if economical:
             z = y + w[idx] @ tbuf[idx]
@@ -417,7 +479,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         err0 = 0.0
         if cfg.error_model is not None:
             x_next = x_next + errs[0]
-            err0 = norm(errs[0])
+            err0 = float(window_norms[lo])
         if not np.isfinite(x_next).all():
             raise NonFiniteError(f"iterate became non-finite at n={n}")
 

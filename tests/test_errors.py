@@ -1,5 +1,5 @@
-"""Injected errors: e_{i,n} is a pure function of (seed, i, n), drawn a block
-at a time and bit for bit the draw of numpy's ``default_rng([seed, i, n])``."""
+"""Injected errors: e_{i,n} is a pure function of (seed, i, n), drawn many at
+a time and bit for bit the draw of numpy's ``default_rng([seed, i, n])``."""
 
 import hashlib
 
@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from blocksplit import solver
+from blocksplit.harness import synthetic_regression
 from blocksplit.operators import norm
-from blocksplit.solver import SeededDecayErrors, _seed_words
+from blocksplit.problems import lasso_problem
+from blocksplit.schedules import make_cyclic, make_quasicyclic_random
+from blocksplit.solver import (SeededDecayErrors, SolverConfig, _seed_words,
+                               run, run_economical)
 
 WORD = st.integers(0, 2**32 - 1)
+# steps that repeat within a draw, as a window of iterations makes them
+STEP = st.integers(0, 300) | WORD
 
 
 def reference_error(c, seed, p, i, n, dim):
@@ -30,6 +37,8 @@ def reference_error(c, seed, p, i, n, dim):
        dim=st.integers(1, 64), c=st.floats(1e-6, 10.0),
        p=st.floats(1.01, 3.0))
 @example(seed=0, n=0, indices=[0], dim=1, c=1.0, p=2.0)
+# numpy's array power gives 256**p one ulp below the C library's pow here
+@example(seed=0, n=255, indices=[0], dim=1, c=1.0, p=1.7373580571692306)
 @example(seed=2**32 - 1, n=2**32 - 1, indices=[0, 2**32 - 1, 1, 2**32 - 1],
          dim=64, c=0.01, p=2.0)
 def test_block_rows_equal_the_per_index_reference(seed, n, indices, dim, c, p):
@@ -47,6 +56,24 @@ def test_block_rows_equal_the_per_index_reference(seed, n, indices, dim, c, p):
         expected = np.random.SeedSequence([seed, i, n]).generate_state(
             4, np.uint64)
         assert np.array_equal(row, expected)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=WORD, pairs=st.lists(st.tuples(WORD, STEP), min_size=1,
+                                 max_size=40),
+       dim=st.integers(1, 64), c=st.floats(1e-6, 10.0),
+       p=st.floats(1.01, 3.0))
+@example(seed=0, pairs=[(0, 255), (3, 0), (1, 255)], dim=1, c=1.0,
+         p=1.7373580571692306)
+@example(seed=2**32 - 1, pairs=[(2**32 - 1, 2**32 - 1), (0, 0),
+                                (2**32 - 1, 0), (0, 2**32 - 1)],
+         dim=64, c=0.01, p=2.0)
+def test_rows_with_their_own_steps_equal_the_reference(seed, pairs, dim, c, p):
+    indices, steps = (np.array(col) for col in zip(*pairs))
+    block = SeededDecayErrors(c, seed=seed, p=p).error(indices, steps, dim)
+    assert block.shape == (len(pairs), dim)
+    for row, (i, n) in zip(block, pairs):
+        assert np.array_equal(row, reference_error(c, seed, p, i, n, dim))
 
 
 # SHA-256 of little-endian float64 error matrices, recorded with numpy 2.4.6
@@ -103,7 +130,80 @@ def test_integral_float_seed_accepted():
     (np.array([0.5]), 0, "1-D integer array"),
     (0, -1, "n must lie in"),
     (0, 2**32, "n must lie in"),
+    (np.array([0, 1]), np.array([0.0, 1.0]), "one step per index"),
+    (np.array([0, 1]), np.array([0, 1, 2]), "one step per index"),
+    (np.array([0, 1]), np.array([[0, 1]]), "one step per index"),
+    (0, np.array([0]), "one step per index"),
+    (np.array([0, 1]), np.array([0, -1]), "steps must lie in"),
+    (np.array([0, 1]), np.array([2**32, 0]), "steps must lie in"),
 ])
 def test_indices_and_step_outside_one_word_rejected(i, n, message):
     with pytest.raises(ValueError, match=message):
         SeededDecayErrors(1.0).error(i, n, 3)
+
+
+class CountingErrors(SeededDecayErrors):
+    """The error model, recording the steps of every ``error`` call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.windows = []
+
+    def error(self, i, n, dim):
+        self.windows.append(np.unique(n).tolist())
+        return super().error(i, n, dim)
+
+
+def reference_sums(trace, c, seed, p, m, dim):
+    """(err0, errsum) of every update record, recomputed from the recorded
+    blocks: errsum adds ||e_{i,c(i,n)}|| over the indices activated at or
+    before n, c(i, n) being the latest such step."""
+    norms = np.zeros(m)
+    sums = []
+    for rec in trace[:-1]:
+        for i in rec.block:
+            norms[i - 1] = norm(reference_error(c, seed, p, i, rec.n, dim))
+        sums.append((norm(reference_error(c, seed, p, 0, rec.n, dim)),
+                     float(norms.sum())))
+    return sums
+
+
+@pytest.mark.parametrize("runner", [run, run_economical])
+@pytest.mark.parametrize("schedule, window_rows, max_iters, lengths", [
+    (make_cyclic(6, 2), 9, 23, [3] * 7 + [2]),
+    (make_quasicyclic_random(6, 3, seed=2), 11, 31, None),
+    (make_cyclic(6, 2), None, 40, [40]),
+], ids=["cyclic-partial-last-window", "quasicyclic-partial-last-window",
+        "below-one-window"])
+def test_windowed_errors_match_the_reference_sums(monkeypatch, runner, schedule,
+                                                  window_rows, max_iters,
+                                                  lengths):
+    c, seed, p = 0.05, 7, 1.5
+    A, eta, _ = synthetic_regression(4, 6, seed=3)
+    prob = lasso_problem(A, eta, reg=0.05)
+    if window_rows is not None:
+        monkeypatch.setattr(solver, "_ERROR_WINDOW_BYTES",
+                            8 * prob.dim * window_rows)
+    else:
+        # 3 error rows per iteration, all of them within one window
+        assert 8 * prob.dim * 3 * max_iters < solver._ERROR_WINDOW_BYTES
+    errors = CountingErrors(c, seed=seed, p=p)
+    cfg = SolverConfig(weights=prob.weights, schedule=schedule,
+                       max_iters=max_iters, tol_residual=-1.0,
+                       error_model=errors)
+    res = runner(prob.t0, prob.ts, cfg, np.zeros(prob.dim))
+
+    # the windows are consecutive runs of steps that end at the cap
+    assert [n for w in errors.windows for n in w] == list(range(max_iters))
+    for w in errors.windows:
+        assert w == list(range(w[0], w[-1] + 1))
+    if lengths is None:
+        assert len(errors.windows) > 2
+    else:
+        assert [len(w) for w in errors.windows] == lengths
+
+    sums = reference_sums(res.trace, c, seed, p, prob.m, prob.dim)
+    assert [(rec.err0, rec.errsum) for rec in res.trace[:-1]] == sums
+    tail = sums[schedule.K - 1:]
+    assert res.sum_err0 == sum(e0 for e0, _ in tail)
+    assert res.sum_lagged_errors == sum(s for _, s in tail)

@@ -339,6 +339,40 @@ class TestCLI:
         assert code == EXIT_CONFIG
         assert err.startswith("error: errors: ") and message in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: [cfg], "config must be a JSON object, got list"),
+        (lambda cfg: "lasso", "config must be a JSON object, got str"),
+        (lambda cfg: {**cfg, "audits": [True]},
+         "audits section must be a JSON object, got list"),
+        (lambda cfg: {**cfg, "errors": 0.01},
+         "errors section must be a JSON object, got float"),
+        (lambda cfg: {**cfg, "output": "trace.csv"},
+         "output section must be a JSON object, got str"),
+        (lambda cfg: {**cfg, "output": {"trace": 5}},
+         "output.trace must be a path string, got 5"),
+        (lambda cfg: {**cfg, "problem": {
+            "variant": "alternating_projections", "C": 5,
+            "D": {"set": "ball", "center": [0, 0], "radius": 1}}},
+         "set spec must be a mapping, got int"),
+        (lambda cfg: {**cfg, "audits": {"fejer": True,
+                                        "reference_iters": "x"}},
+         "audits.reference_iters must be an integer >= 0, got 'x'"),
+        (lambda cfg: {**cfg, "audits": {"fejer": True,
+                                        "reference_iters": -1}},
+         "audits.reference_iters must be an integer >= 0, got -1"),
+    ], ids=["top-level-array", "top-level-string", "audits-array",
+            "errors-number", "output-string", "output-trace-number",
+            "set-spec-number",
+            "reference-iters-string", "reference-iters-negative"])
+    def test_solve_malformed_config(self, tmp_path, capsys, edit, message):
+        cfg = lasso_config(tmp_path)
+        cfg["problem"]["data_csv"] = str(tmp_path / "data.csv")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(edit(cfg)))
+        code, err = self.cli_error(capsys, ["solve", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert message in err
+
     @pytest.mark.parametrize("key", ["trace", "summary"])
     def test_solve_output_in_missing_directory(self, tmp_path, capsys, key):
         cfg = lasso_config(tmp_path)
@@ -361,6 +395,22 @@ class TestCLI:
         code = cli.main(["schedule-check", "--config", str(p)])
         assert code == EXIT_COVERING
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cfg, message", [
+        ([{"type": "cyclic", "m": 4}], "config must be a JSON object, got list"),
+        ({"schedule": ["cyclic", 4]},
+         "schedule section must be a JSON object, got list"),
+        ({"schedule": "cyclic"},
+         "schedule section must be a JSON object, got str"),
+    ], ids=["top-level-array", "schedule-array", "schedule-string"])
+    def test_schedule_check_malformed_config(self, tmp_path, capsys, cfg,
+                                             message):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(cfg))
+        code, err = self.cli_error(capsys, ["schedule-check", "--config",
+                                            str(path)])
+        assert code == EXIT_CONFIG
+        assert message in err
 
     @pytest.mark.parametrize("argv, message", [
         (["--horizon", "1"], "horizon 1 must be at least K=2"),

@@ -10,7 +10,8 @@ from blocksplit.calculus import Ball, Box, Halfspace, Hyperplane, projector_op
 from blocksplit.operators import (AveragedOp, NonFiniteError, apply,
                                   certify_averaged, compose,
                                   convex_combination, identity_op,
-                                  kahan_weighted_sum, norm, relax, scaling_op)
+                                  kahan_weighted_sum, norm, relax, row_norms,
+                                  scaling_op)
 
 
 def proj_x_axis():
@@ -268,3 +269,19 @@ def test_norm_is_bit_identical_to_numpy(values, seed):
               rng.standard_normal(len(values))
               * 10.0 ** rng.uniform(-150, 150, len(values))):
         assert norm(x) == float(np.linalg.norm(x))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.one_of(st.none(), st.floats(-150, 150)), min_size=1,
+                max_size=40),
+       st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_row_norms_are_norm_row_by_row(decades, dim, seed):
+    # one row per entry: None is an all-zero row, a number its decade
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((len(decades), dim))
+    for row, decade in zip(X, decades):
+        row *= 0.0 if decade is None else 10.0 ** decade
+    got = row_norms(X)
+    assert got.shape == (len(decades),)
+    for value, row in zip(got, X):
+        assert value == norm(row)

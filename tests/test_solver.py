@@ -9,9 +9,9 @@ from blocksplit.operators import (AveragedOp, NonFiniteError, apply,
                                   identity_op, kahan_weighted_sum, scaling_op)
 from blocksplit.problems import (build_cohypomonotone, lasso_problem,
                                  quadratic_resolvent)
-from blocksplit.schedules import (CoveringError, last_activation, make_cyclic,
-                                  make_explicit, make_full,
-                                  make_quasicyclic_random)
+from blocksplit.schedules import (BlockSchedule, CoveringError,
+                                  last_activation, make_cyclic, make_explicit,
+                                  make_full, make_quasicyclic_random)
 from blocksplit.solver import (SeededDecayErrors, SolverConfig, fejer_audit,
                                fejer_audit_arrays, fixed_point_residual,
                                linear_rate_audit, linear_rate_audit_arrays,
@@ -254,6 +254,33 @@ class TestErrorInjection:
         noisy = run(prob.t0, prob.ts, cfg, np.zeros(prob.dim))
         clean = run(prob.t0, prob.ts, clean_cfg, np.zeros(prob.dim))
         assert abs(prob.objective(noisy.x) - prob.objective(clean.x)) <= 1e-4
+
+
+class TestErrorWindowLookAhead:
+    """The errors of upcoming iterations are drawn ahead of the loop; a
+    corrupt block must still fail at its own n."""
+
+    N = 60
+
+    def solve(self, tol, max_iters):
+        schedule = BlockSchedule(2, 1, lambda n: set() if n == self.N
+                                 else {1, 2}, name="empty-at-N")
+        cfg = SolverConfig(weights=[0.5, 0.5], schedule=schedule,
+                           max_iters=max_iters, tol_residual=tol,
+                           check_every=1,
+                           error_model=SeededDecayErrors(1e-9, seed=3))
+        return run(scaling_op(2, 0.5), [AXIS_X, AXIS_Y], cfg, [1.0, 1.0])
+
+    @pytest.mark.parametrize("tol, max_iters", [(1e-6, 1000), (-1.0, N - 1)],
+                             ids=["converges", "capped"])
+    def test_run_ending_before_the_empty_block_returns(self, tol, max_iters):
+        res = self.solve(tol, max_iters)
+        assert res.iterations < self.N
+        assert res.converged == (tol > 0)
+
+    def test_run_reaching_the_empty_block_raises_there(self):
+        with pytest.raises(CoveringError, match=f"empty block at n={self.N}$"):
+            self.solve(-1.0, 1000)
 
 
 class TestFejerAudit:
