@@ -16,7 +16,7 @@ import numpy as np
 
 from . import problems
 from .calculus import set_from_spec
-from .operators import NonFiniteError, as_point, norm
+from .operators import NonFiniteError, as_int, as_point, norm
 from .schedules import (CoveringError, check_concentrating, mu_row,
                         schedule_from_spec, make_full, validate_covering)
 from .solver import (SeededDecayErrors, SolverConfig, fejer_audit,
@@ -252,6 +252,24 @@ def config_section(cfg, name, required=False):
     return section
 
 
+def config_flag(section, name, key):
+    """``section[key]`` as a JSON boolean, False when absent; anything else
+    (a string such as "no", a number) is a ConfigError."""
+    value = section.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name}.{key} must be true or false, got {value!r}")
+    return value
+
+
+def config_number(section, name, key, default):
+    """``section[key]`` as a float, ``default`` when absent; a value that is
+    not a JSON number (a string such as "1e-3", a boolean) is a ConfigError."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_data_csv(path):
     """Data matrix CSV: one row per operator, features first, target last."""
     try:
@@ -348,15 +366,17 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
                     p=ecfg.get("p", 2.0))
             except ValueError as exc:
                 raise ConfigError(f"errors: {exc}") from exc
+        economical = config_flag(scfg, "solver", "economical")
         solver_cfg = SolverConfig(
             weights=problem.weights,
             schedule=schedule,
-            epsilon=scfg.get("epsilon", 1e-3),
-            max_iters=int(max_iters if max_iters is not None
-                          else scfg.get("max_iters", 10_000)),
-            tol_residual=float(tol if tol is not None
-                               else scfg.get("tol_residual", 1e-10)),
-            check_every=int(scfg.get("check_every", 10)),
+            epsilon=config_number(scfg, "solver", "epsilon", 1e-3),
+            max_iters=(max_iters if max_iters is not None else as_int(
+                scfg.get("max_iters", 10_000), "solver.max_iters")),
+            tol_residual=(tol if tol is not None else config_number(
+                scfg, "solver", "tol_residual", 1e-10)),
+            check_every=as_int(scfg.get("check_every", 10),
+                               "solver.check_every"),
             error_model=error_model,
         )
         try:
@@ -365,6 +385,7 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
         except ValueError as exc:
             raise ConfigError(f"solver.x0: {exc}") from exc
         audits_cfg = config_section(cfg, "audits")
+        fejer = config_flag(audits_cfg, "audits", "fejer")
         reference_iters = audits_cfg.get("reference_iters", 200_000)
         if (isinstance(reference_iters, bool)
                 or not isinstance(reference_iters, int) or reference_iters < 0):
@@ -383,7 +404,7 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
 
     try:
         x_ref = ref = None
-        if audits_cfg.get("fejer"):
+        if fejer:
             # error-free full-activation reference at tight tolerance
             ref = run(problem.t0, problem.ts,
                       SolverConfig(weights=problem.weights,
@@ -393,7 +414,7 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
                                    check_every=10),
                       x0)
             x_ref = ref.x
-        runner = run_economical if scfg.get("economical") else run
+        runner = run_economical if economical else run
         result = runner(problem.t0, problem.ts, solver_cfg, x0, x_ref=x_ref)
     except CoveringError as exc:
         return EXIT_COVERING, {"error": str(exc)}

@@ -6,6 +6,7 @@ a sampling-based certificate for declared averagedness constants.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -28,6 +29,18 @@ def as_point(x, dim=None):
     if not np.isfinite(p).all():
         raise NonFiniteError("point has non-finite coordinates")
     return p
+
+
+def as_int(value, name):
+    """``value`` as an int: an int or an integral float, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def inner(x, y):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import check_weights
+from .operators import as_int, check_weights
 
 
 class CoveringError(ValueError):
@@ -70,8 +70,11 @@ def make_cyclic(m, block_size):
     K = -(-m // block_size)
 
     def block_fn(n):
-        start = (n * block_size) % m
-        return frozenset((start + j) % m + 1 for j in range(block_size))
+        start = (n * block_size) % m + 1
+        stop = start + block_size
+        if stop <= m + 1:
+            return frozenset(range(start, stop))
+        return frozenset(range(start, m + 1)).union(range(1, stop - m))
 
     return BlockSchedule(m, K, block_fn, name=f"cyclic({m},{block_size})")
 
@@ -94,15 +97,15 @@ def make_quasicyclic_random(m, K, seed):
         raise ValueError("K must be >= 1")
     rng = np.random.default_rng(seed)
     cache = []
-    last = [-1] * m
+    last = np.full(m, -1)
 
     def extend():
         n = len(cache)
         size = int(rng.integers(1, m + 1))
-        picks = set(rng.choice(m, size=size, replace=False) + 1)
-        picks.update(i for i, k in enumerate(last, 1) if k <= n - K)
+        picks = np.concatenate((rng.choice(m, size=size, replace=False),
+                                np.flatnonzero(last <= n - K)))
         record_activation(last, picks, n, K)
-        cache.append(frozenset(picks))
+        cache.append(frozenset((picks + 1).tolist()))
 
     def block_fn(n):
         while len(cache) <= n:
@@ -134,15 +137,22 @@ def schedule_from_spec(spec):
       {"type": "cyclic", "m": ..., "block_size": ...}
       {"type": "quasicyclic", "m": ..., "K": ..., "seed": ...}
       {"type": "explicit", "m": ..., "K": ..., "blocks": [[...], ...]}
+
+    m, K, block_size and seed must be integers (an integral float such as
+    30.0 is one; 30.7 and true are not): ValueError otherwise.
     """
+    def integer(key, default=None):
+        value = spec[key] if default is None else spec.get(key, default)
+        return as_int(value, f"schedule.{key}")
+
     kind = spec.get("type")
-    m = int(spec["m"])
+    m = integer("m")
     if kind == "cyclic":
-        return make_cyclic(m, int(spec.get("block_size", 1)))
+        return make_cyclic(m, integer("block_size", 1))
     if kind == "quasicyclic":
-        return make_quasicyclic_random(m, int(spec["K"]), int(spec.get("seed", 0)))
+        return make_quasicyclic_random(m, integer("K"), integer("seed", 0))
     if kind == "explicit":
-        return make_explicit(m, int(spec["K"]), spec["blocks"])
+        return make_explicit(m, integer("K"), spec["blocks"])
     raise ValueError(f"unknown schedule type {kind!r}")
 
 
@@ -157,11 +167,11 @@ def validate_covering(schedule, horizon):
     K = schedule.K
     if horizon < K:
         raise ValueError(f"horizon {horizon} must be at least K={K}")
-    last = [-1] * schedule.m
+    last = np.full(schedule.m, -1)
     for n in range(horizon):
         block = schedule.block(n)
         try:
-            record_activation(last, block, n, K)
+            record_activation(last, block_indices(block), n, K)
         except CoveringError as exc:
             return exc.start, exc.missing
     return None
@@ -182,21 +192,30 @@ def last_activation(schedule, i, n):
     )
 
 
-def record_activation(last, block, n, K):
-    """Advance a running last-activation list past the block I_n.
+def block_indices(block):
+    """The 1-based block as an array of 0-based indices, in iteration order."""
+    return np.fromiter(block, np.intp, len(block)) - 1
 
-    ``last[i - 1]`` holds the latest step k < n with i in I_k, or -1 when
-    there is none; it is updated in place so that afterwards it equals
-    ``last_activation(schedule, i, n)`` for every n >= K-1. From n = K-1 on,
-    an index not activated in the window {n-K+1, ..., n} raises CoveringError.
-    This is the one place that decides K-window covering: the solver, the
-    Fejer replay, ``validate_covering`` and the quasicyclic generator all
-    advance a list through it.
+
+def record_activation(last, idx, n, K):
+    """Advance a running last-activation array past the block I_n.
+
+    ``last`` is an integer array of length m: ``last[i - 1]`` holds the
+    latest step k < n with i in I_k, or -1 when there is none. ``idx`` is
+    I_n as an array of 0-based indices (duplicates are harmless); it is
+    trusted to lie in 0..m-1, since a negative index would wrap silently, so
+    callers check ranges first. The update is ``last[idx] = n`` in place,
+    after which ``last[i - 1]`` equals ``last_activation(schedule, i, n)``
+    for every n >= K-1. From n = K-1 on, an index not activated in the
+    window {n-K+1, ..., n} raises CoveringError with the window's ``start``
+    and the sorted 1-based ``missing`` indices as Python ints. This is the
+    one place that decides K-window covering: the solver, the Fejer replay,
+    ``validate_covering`` and the quasicyclic generator all advance an array
+    through it.
     """
-    for i in block:
-        last[i - 1] = n
-    if n >= K - 1 and min(last) <= n - K:
-        missing = [i for i, k in enumerate(last, 1) if k <= n - K]
+    last[idx] = n
+    if n >= K - 1 and last.min() <= n - K:
+        missing = (np.flatnonzero(last <= n - K) + 1).tolist()
         raise CoveringError(
             f"covering violated: indices {missing} absent from window "
             f"starting at n={n - K + 1} (K={K})",

@@ -17,15 +17,15 @@ the geometric envelope implied by declared contraction factors.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .operators import (AveragedOp, NonFiniteError, apply, as_point,
+from .operators import (AveragedOp, NonFiniteError, apply, as_int, as_point,
                         check_weights, kahan_weighted_sum, norm, row_norms)
-from .schedules import BlockSchedule, CoveringError, record_activation
+from .schedules import (BlockSchedule, CoveringError, block_indices,
+                         record_activation)
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +129,7 @@ class _Words(ISeedSequence):
 
 def _word(value, name):
     """``value`` as an int in [0, 2**32): one SeedSequence entropy word."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer in [0, 2**32), "
-                         f"got {value!r}") from None
+    value = as_int(value, name)
     if not 0 <= value <= _MASK32:
         raise ValueError(f"{name} must lie in [0, 2**32), got {value}")
     return value
@@ -412,7 +406,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
     final_residual = None
     # last[i-1]: latest step whose block activated i, -1 before any; it
     # serves the lagged stopping check and the on-the-fly covering test
-    last = [-1] * m
+    last = np.full(m, -1)
     n = 0
     while True:
         at_cap = n >= cfg.max_iters
@@ -426,7 +420,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
                 # block n included; n itself before the first activation
                 lo = max(0, n - K + 1)
                 check_ops = [tf(i, n if i in block or k < lo else k)
-                             for i, k in enumerate(last, 1)]
+                             for i, k in enumerate(last.tolist(), 1)]
             residual = _residual(x, t0f(n), check_ops, w)
         dist = norm(x - x_ref) if x_ref is not None else None
         if residual is not None and residual <= cfg.tol_residual:
@@ -437,11 +431,11 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
                                      dist_ref=dist))
             break
 
-        # covering is enforced on the fly: every K-window the run
-        # traverses must activate all indices
-        record_activation(last, block, n, K)
         active = sorted(block)
         idx = np.array(active) - 1
+        # covering is enforced on the fly: every K-window the run
+        # traverses must activate all indices
+        record_activation(last, idx, n, K)
         if economical:
             y = z - w[idx] @ tbuf[idx]
 
@@ -554,14 +548,15 @@ def fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack=None):
     max_violation = -np.inf
     first_bad = None
     checked = 0
-    last = [-1] * w.size
+    last = np.full(w.size, -1)
     for n in range(total - 1):
         if blocks[n] is None:
             break
-        if not all(1 <= i <= w.size for i in blocks[n]):
+        idx = block_indices(blocks[n])
+        if idx.size and (idx.min() < 0 or idx.max() >= w.size):
             raise ValueError(f"block {sorted(blocks[n])} at n={n} names an "
                              f"index outside 1..{w.size} (one weight each)")
-        record_activation(last, blocks[n], n, K)
+        record_activation(last, idx, n, K)
         if n < K - 1:
             continue
         bound = float(sum(w * dists[last]))

@@ -112,6 +112,7 @@ def test_zero_magnitude_block():
     ({"c": 1.0, "seed": 1.7}, "seed must be an integer"),
     ({"c": 1.0, "seed": -1}, "seed must lie in"),
     ({"c": 1.0, "seed": 2**32}, "seed must lie in"),
+    ({"c": 1.0, "seed": True}, "seed must be an integer"),
 ])
 def test_bad_parameters_rejected(kwargs, message):
     with pytest.raises(ValueError, match=message):

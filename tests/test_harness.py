@@ -331,8 +331,9 @@ class TestCLI:
         ({"c": 0.01, "p": float("inf")}, "need finite c and p"),
         ({"c": 0.01, "seed": 1.7}, "seed must be an integer"),
         ({"c": 0.01, "seed": 2**32}, "seed must lie in [0, 2**32)"),
+        ({"c": 0.01, "seed": True}, "seed must be an integer, got True"),
     ], ids=["c-nan", "c-inf", "p-nan", "p-inf", "seed-fraction",
-            "seed-too-large"])
+            "seed-too-large", "seed-bool"])
     def test_solve_bad_error_model(self, tmp_path, capsys, errors, message):
         cfg = lasso_config(tmp_path, errors=errors)
         code, err = self.solve_error(tmp_path, capsys, cfg)
@@ -373,6 +374,50 @@ class TestCLI:
         assert code == EXIT_CONFIG
         assert message in err
 
+    @pytest.mark.parametrize("section, patch, message", [
+        ("solver", {"economical": "no"},
+         "solver.economical must be true or false, got 'no'"),
+        ("audits", {"fejer": "no"},
+         "audits.fejer must be true or false, got 'no'"),
+        ("schedule", {"m": 6.7}, "schedule.m must be an integer, got 6.7"),
+        ("schedule", {"type": "quasicyclic", "K": 2.9, "seed": 1},
+         "schedule.K must be an integer, got 2.9"),
+        ("schedule", {"block_size": 3.5},
+         "schedule.block_size must be an integer, got 3.5"),
+        ("schedule", {"type": "quasicyclic", "K": 3, "seed": True},
+         "schedule.seed must be an integer, got True"),
+        ("solver", {"max_iters": 20.9},
+         "solver.max_iters must be an integer, got 20.9"),
+        ("solver", {"check_every": True},
+         "solver.check_every must be an integer, got True"),
+        ("solver", {"tol_residual": "1e-3"},
+         "solver.tol_residual must be a number, got '1e-3'"),
+        ("solver", {"epsilon": "1e-3"},
+         "solver.epsilon must be a number, got '1e-3'"),
+    ], ids=["economical-string", "fejer-string", "m-fraction", "K-fraction",
+            "block-size-fraction", "seed-bool", "max-iters-fraction",
+            "check-every-bool", "tol-residual-string", "epsilon-string"])
+    def test_solve_mistyped_scalar(self, tmp_path, capsys, section, patch,
+                                   message):
+        cfg = lasso_config(tmp_path)
+        cfg[section] = {**cfg.get(section, {}), **patch}
+        code, err = self.solve_error(tmp_path, capsys, cfg)
+        assert code == EXIT_CONFIG
+        assert message in err
+
+    def test_solve_integral_float_scalars(self, tmp_path, capsys):
+        cfg = lasso_config(tmp_path, schedule={
+            "type": "quasicyclic", "m": 6.0, "K": 3.0, "seed": 2.0})
+        cfg["problem"]["data_csv"] = str(tmp_path / "data.csv")
+        cfg["solver"].update(max_iters=20000.0, check_every=5.0,
+                             tol_residual=1e-10, epsilon=0.001,
+                             economical=True)
+        cfg.pop("output")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["solve", "--config", str(cfg_path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["converged"]
+
     @pytest.mark.parametrize("key", ["trace", "summary"])
     def test_solve_output_in_missing_directory(self, tmp_path, capsys, key):
         cfg = lasso_config(tmp_path)
@@ -402,7 +447,10 @@ class TestCLI:
          "schedule section must be a JSON object, got list"),
         ({"schedule": "cyclic"},
          "schedule section must be a JSON object, got str"),
-    ], ids=["top-level-array", "schedule-array", "schedule-string"])
+        ({"schedule": {"type": "cyclic", "m": 30.7, "block_size": 5}},
+         "schedule.m must be an integer, got 30.7"),
+    ], ids=["top-level-array", "schedule-array", "schedule-string",
+            "m-fraction"])
     def test_schedule_check_malformed_config(self, tmp_path, capsys, cfg,
                                              message):
         path = tmp_path / "s.json"

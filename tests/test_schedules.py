@@ -3,10 +3,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blocksplit.schedules import (BlockSchedule, CoveringError,
-                                  check_concentrating, ConcentratingRow,
+                                  block_indices, check_concentrating,
+                                  ConcentratingRow,
                                   lag_identity_check, last_activation,
                                   make_cyclic, make_explicit, make_full,
                                   make_quasicyclic_random, mu_row,
@@ -105,11 +106,12 @@ class TestCovering:
             validate_covering(s, 10)
 
     def test_error_carries_window(self):
-        last = [-1] * 4
-        record_activation(last, {1, 2}, 0, 2)
+        last = np.full(4, -1)
+        record_activation(last, np.array([0, 1]), 0, 2)
         with pytest.raises(CoveringError) as info:
-            record_activation(last, {2}, 1, 2)
+            record_activation(last, np.array([1]), 1, 2)
         assert (info.value.start, info.value.missing) == (0, [3, 4])
+        assert all(type(i) is int for i in info.value.missing)
 
 
 class TestLastActivation:
@@ -160,12 +162,13 @@ class TestRecordActivation:
         make_quasicyclic_random(7, 4, seed=3), make_cyclic(10, 3),
         make_explicit(4, 3, [[1, 2], [3], [4, 1], [2, 3, 4]])])
     def test_running_list_matches_window_scan(self, schedule):
-        last = [-1] * schedule.m
+        last = np.full(schedule.m, -1)
         for n in range(300):
-            record_activation(last, schedule.block(n), n, schedule.K)
+            record_activation(last, block_indices(schedule.block(n)), n,
+                              schedule.K)
             if n >= schedule.K - 1:
-                assert last == [last_activation(schedule, i, n)
-                                for i in range(1, schedule.m + 1)]
+                assert last.tolist() == [last_activation(schedule, i, n)
+                                         for i in range(1, schedule.m + 1)]
 
 
 class TestMuRow:
@@ -316,6 +319,43 @@ def covering_by_window_scan(schedule, horizon):
     return None
 
 
+def reference_quasicyclic_blocks(m, K, seed, count):
+    """The quasicyclic generator's first ``count`` blocks, built with Python
+    sets and a last-activation list as the generator was first written."""
+    rng = np.random.default_rng(seed)
+    last = [-1] * m
+    blocks = []
+    for n in range(count):
+        size = int(rng.integers(1, m + 1))
+        picks = set(rng.choice(m, size=size, replace=False) + 1)
+        picks.update(i for i, k in enumerate(last, 1) if k <= n - K)
+        for i in picks:
+            last[i - 1] = n
+        blocks.append(frozenset(picks))
+    return blocks
+
+
+class TestGeneratorProperties:
+    @given(st.integers(1, 40).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(1, m), st.integers(0, 500))))
+    @example((7, 3, 2))    # the block {7, 1, 2} wraps past m
+    @example((5, 5, 3))    # full activation
+    @example((1, 1, 0))
+    def test_cyclic_block_is_the_modulo_window(self, case):
+        m, block_size, n = case
+        start = (n * block_size) % m
+        assert make_cyclic(m, block_size).block(n) == {
+            (start + j) % m + 1 for j in range(block_size)}
+
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 7), st.integers(0, 2**32 - 1))
+    def test_quasicyclic_matches_set_reference(self, m, K, seed):
+        schedule = make_quasicyclic_random(m, K, seed)
+        blocks = [schedule.block(n) for n in range(K + 30)]
+        assert blocks == reference_quasicyclic_blocks(m, K, seed, K + 30)
+        assert all(type(i) is int for blk in blocks for i in blk)
+
+
 class TestCoveringProperties:
     @settings(deadline=None)
     @given(explicit_schedules(), st.integers(0, 20))
@@ -333,27 +373,29 @@ class TestCoveringProperties:
     @given(st.one_of(explicit_schedules(), quasicyclic_schedules))
     def test_record_activation_matches_last_activation(self, schedule):
         K = schedule.K
-        last = [-1] * schedule.m
+        last = np.full(schedule.m, -1)
         for n in range(K + 30):
             try:
-                record_activation(last, schedule.block(n), n, K)
+                record_activation(last, block_indices(schedule.block(n)), n,
+                                  K)
             except CoveringError as exc:
                 assert (covering_by_window_scan(schedule, n + 1)
                         == (exc.start, exc.missing))
                 return
             if n >= K - 1:
-                assert last == [last_activation(schedule, i, n)
-                                for i in range(1, schedule.m + 1)]
+                assert last.tolist() == [last_activation(schedule, i, n)
+                                         for i in range(1, schedule.m + 1)]
         assert covering_by_window_scan(schedule, K + 30) is None
 
     @settings(deadline=None)
     @given(explicit_schedules())
     def test_error_attributes_match_message(self, schedule):
         K = schedule.K
-        last = [-1] * schedule.m
+        last = np.full(schedule.m, -1)
         try:
             for n in range(K + 12):
-                record_activation(last, schedule.block(n), n, K)
+                record_activation(last, block_indices(schedule.block(n)), n,
+                                  K)
         except CoveringError as exc:
             match = WINDOW_MESSAGE.match(str(exc))
             assert match is not None

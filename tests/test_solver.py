@@ -151,6 +151,20 @@ class TestLaggedStoppingCheck:
         assert matches == 39
         assert lagged > 0
 
+    def test_family_receives_int_lags(self):
+        calls = []
+
+        def family(i, n):
+            calls.append((type(i), type(n)))
+            return AXIS_X if i == 1 else AXIS_Y
+
+        sched = make_quasicyclic_random(2, 3, seed=1)
+        cfg = SolverConfig(weights=[0.5, 0.5], schedule=sched, max_iters=30,
+                           tol_residual=-1.0, check_every=1)
+        run(scaling_op(2, 0.5), family, cfg, [1.0, 1.0])
+        assert len(calls) > 60
+        assert set(calls) == {(int, int)}
+
 
 class TestFullActivationReduction:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -312,6 +326,14 @@ class TestFejerAudit:
     def test_block_index_beyond_weights_rejected(self):
         blocks = [frozenset({1, 2, 3}), None]
         with pytest.raises(ValueError, match="outside 1..2"):
+            fejer_audit_arrays([1.0, 0.5], [0.0] * 2, [0.0] * 2, blocks,
+                               [0.5, 0.5], K=1, slack=1e-9)
+
+    def test_block_index_zero_rejected(self):
+        # a 0 would become index -1 and wrap onto the last operator
+        blocks = [frozenset({0, 1, 2}), None]
+        with pytest.raises(ValueError, match=re.escape(
+                "block [0, 1, 2] at n=0 names an index outside 1..2")):
             fejer_audit_arrays([1.0, 0.5], [0.0] * 2, [0.0] * 2, blocks,
                                [0.5, 0.5], K=1, slack=1e-9)
 
