@@ -5,10 +5,11 @@ iteration and recycling stale evaluations."""
 from .operators import (AveragedOp, NonFiniteError, RowStack, apply,
                         as_point, certify_averaged, compose,
                         convex_combination, identity_op, relax, scaling_op)
-from .schedules import (BlockSchedule, CoveringError, check_concentrating,
-                        last_activation, lag_identity_check, make_cyclic,
-                        make_explicit, make_full, make_quasicyclic_random,
-                        mu_row, schedule_from_spec, validate_covering)
+from .schedules import (Block, BlockSchedule, CoveringError,
+                        check_concentrating, last_activation,
+                        lag_identity_check, make_cyclic, make_explicit,
+                        make_full, make_quasicyclic_random, mu_row,
+                        schedule_from_spec, validate_covering)
 from .solver import (SeededDecayErrors, SolverConfig, SolverResult,
                      TraceRecord, fejer_audit, fixed_point_residual,
                      linear_rate_audit, run, run_economical)

@@ -17,8 +17,9 @@ import numpy as np
 from . import problems
 from .calculus import set_from_spec
 from .operators import NonFiniteError, as_int, as_point, norm
-from .schedules import (CoveringError, check_concentrating, mu_row,
-                        schedule_from_spec, make_full, validate_covering)
+from .schedules import (CoveringError, as_block, check_concentrating,
+                        mu_row, schedule_from_spec, make_full,
+                        validate_covering)
 from .solver import (SeededDecayErrors, SolverConfig, fejer_audit,
                      fejer_audit_arrays, linear_rate_audit_arrays, run,
                      run_economical)
@@ -163,7 +164,8 @@ def write_trace_csv(path, trace):
     """Persist a trace with shortest-round-trip float formatting."""
     lines = [TRACE_HEADER]
     for rec in trace:
-        block = "" if rec.block is None else "|".join(str(i) for i in sorted(rec.block))
+        block = ("" if rec.block is None else
+                 "|".join(map(str, (as_block(rec.block).idx + 1).tolist())))
         lines.append(",".join([
             str(rec.n), _fmt(rec.residual), _fmt(rec.step), _fmt(rec.err0),
             _fmt(rec.errsum), block, _fmt(rec.dist_ref),

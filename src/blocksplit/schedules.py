@@ -13,6 +13,7 @@ everywhere in the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,45 @@ class CoveringError(ValueError):
         self.missing = missing
 
 
+class Block(frozenset):
+    """A block I_n: a frozenset of 1-based operator indices that also carries
+    its members as ``idx``, a sorted, read-only array of 0-based ``np.intp``
+    indices built once with the block.
+
+    Equality, hashing and membership are frozenset's, so a Block equals the
+    plain frozenset of its members; set algebra on it returns plain
+    frozensets. Every layer that indexes with a block (the solver's buffer
+    and gathers, the error draws, the covering and Fejer replays, the trace
+    writer) reads ``idx`` instead of sorting the set again. Members must be
+    integers (ValueError otherwise); their range is the schedule's to check.
+    """
+
+    __slots__ = ("idx",)
+
+    def __new__(cls, members=()):
+        self = super().__new__(cls, members)
+        if self:
+            idx = np.array(sorted(self))
+            if idx.dtype.kind not in "iu":
+                raise ValueError(f"block members must be integers, got "
+                                 f"{sorted(self, key=repr)}")
+            idx = (idx - 1).astype(np.intp, copy=False)
+        else:
+            idx = np.empty(0, np.intp)
+        idx.flags.writeable = False
+        self.idx = idx
+        return self
+
+    def __reduce__(self):
+        # rebuild idx from the members, so a copy's idx is read-only too
+        return type(self), (list(self),)
+
+
+def as_block(members):
+    """``members`` as a Block: a Block as is, any other iterable wrapped."""
+    return members if isinstance(members, Block) else Block(members)
+
+
 class BlockSchedule:
     """Deterministic generator n -> I_n over {1, ..., m} with covering constant K."""
 
@@ -43,16 +83,28 @@ class BlockSchedule:
         self.K = int(K)
         self.name = name
         self._block_fn = block_fn
-        self._full = frozenset(range(1, self.m + 1))
 
     def block(self, n):
-        """The activated index set I_n (1-based indices)."""
+        """The activated index set I_n (1-based indices) as a Block.
+
+        This is the per-iteration fetch. A Block from ``block_fn`` is returned
+        as is (the generators below hand out shared, cached Blocks); any
+        other iterable is wrapped once. An empty block, or one with a member
+        outside 1..m or not an integer, raises CoveringError.
+        """
         if n < 0:
             raise ValueError("block index must be >= 0")
-        blk = frozenset(self._block_fn(n))
+        blk = self._block_fn(n)
+        if not isinstance(blk, Block):
+            blk = frozenset(blk)
+            try:
+                blk = Block(blk)
+            except ValueError:
+                pass            # non-integer members: out of range below
         if not blk:
             raise CoveringError(f"schedule {self.name!r}: empty block at n={n}")
-        if not blk <= self._full:
+        if (not isinstance(blk, Block) or blk.idx[0] < 0
+                or blk.idx[-1] >= self.m):
             raise CoveringError(
                 f"schedule {self.name!r}: block {sorted(blk)} at n={n} "
                 f"not within 1..{self.m}"
@@ -64,17 +116,28 @@ class BlockSchedule:
 
 
 def make_cyclic(m, block_size):
-    """Consecutive wrapped index windows of the given size; K = ceil(m / size)."""
+    """Consecutive wrapped index windows of the given size; K = ceil(m / size).
+
+    The blocks repeat with period m // gcd(m, block_size); each of the
+    period's Blocks is built on its first fetch and shared after that.
+    """
     if not 1 <= block_size <= m:
         raise ValueError("block_size must lie in 1..m")
     K = -(-m // block_size)
+    period = [None] * (m // math.gcd(m, block_size))
 
     def block_fn(n):
-        start = (n * block_size) % m + 1
-        stop = start + block_size
-        if stop <= m + 1:
-            return frozenset(range(start, stop))
-        return frozenset(range(start, m + 1)).union(range(1, stop - m))
+        j = n % len(period)
+        blk = period[j]
+        if blk is None:
+            start = (j * block_size) % m + 1
+            stop = start + block_size
+            if stop <= m + 1:
+                members = range(start, stop)
+            else:
+                members = [*range(start, m + 1), *range(1, stop - m)]
+            blk = period[j] = Block(members)
+        return blk
 
     return BlockSchedule(m, K, block_fn, name=f"cyclic({m},{block_size})")
 
@@ -89,7 +152,7 @@ def make_quasicyclic_random(m, K, seed):
 
     Any index that was not activated during the previous K-1 steps is
     inserted into I_n, so the covering condition holds by construction
-    rather than by rejection sampling. The blocks are cached: ``mu_row``,
+    rather than by rejection sampling. The Blocks are cached: ``mu_row``,
     ``last_activation`` and the post-run covering walk read old blocks, and
     the seeded generator cannot produce block n without replaying it from 0.
     """
@@ -105,7 +168,7 @@ def make_quasicyclic_random(m, K, seed):
         picks = np.concatenate((rng.choice(m, size=size, replace=False),
                                 np.flatnonzero(last <= n - K)))
         record_activation(last, picks, n, K)
-        cache.append(frozenset((picks + 1).tolist()))
+        cache.append(Block((picks + 1).tolist()))
 
     def block_fn(n):
         while len(cache) <= n:
@@ -116,12 +179,22 @@ def make_quasicyclic_random(m, K, seed):
 
 
 def make_explicit(m, K, blocks):
-    """Schedule repeating the given list of 1-based index lists."""
-    fixed = [frozenset(int(i) for i in blk) for blk in blocks]
+    """Schedule repeating the given list of 1-based index lists.
+
+    Every entry must be an integer (an integral float such as 2.0 is one;
+    1.7 and true are not) in 1..m, and every block a list of them:
+    ValueError otherwise.
+    """
+    try:
+        fixed = [Block(as_int(i, "schedule.blocks entry") for i in blk)
+                 for blk in blocks]
+    except TypeError:
+        raise ValueError(f"schedule.blocks must be a list of index lists, "
+                         f"got {blocks!r}") from None
     if not fixed:
         raise ValueError("need at least one block")
     for blk in fixed:
-        if not blk or not blk <= set(range(1, m + 1)):
+        if not blk or blk.idx[0] < 0 or blk.idx[-1] >= m:
             raise ValueError(f"block {sorted(blk)} invalid for m={m}")
 
     def block_fn(n):
@@ -171,7 +244,7 @@ def validate_covering(schedule, horizon):
     for n in range(horizon):
         block = schedule.block(n)
         try:
-            record_activation(last, block_indices(block), n, K)
+            record_activation(last, block.idx, n, K)
         except CoveringError as exc:
             return exc.start, exc.missing
     return None
@@ -190,11 +263,6 @@ def last_activation(schedule, i, n):
     raise CoveringError(
         f"index {i} never activated in window {n - K + 1}..{n}; schedule corrupt"
     )
-
-
-def block_indices(block):
-    """The 1-based block as an array of 0-based indices, in iteration order."""
-    return np.fromiter(block, np.intp, len(block)) - 1
 
 
 def record_activation(last, idx, n, K):

@@ -24,7 +24,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .operators import (AveragedOp, NonFiniteError, apply, as_int, as_point,
                         check_weights, kahan_weighted_sum, norm, row_norms)
-from .schedules import (BlockSchedule, CoveringError, block_indices,
+from .schedules import (Block, BlockSchedule, CoveringError, as_block,
                          record_activation)
 
 
@@ -236,14 +236,14 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 0 and check_every >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """Per-iteration diagnostics. ``x`` is the iterate *before* the update at
     ``n``; the terminal record of a run has no block/step entries."""
 
     n: int
     x: np.ndarray
-    block: frozenset | None = None
+    block: Block | None = None
     residual: float | None = None
     step: float | None = None
     err0: float | None = None
@@ -320,12 +320,12 @@ def fixed_point_residual(x, t0, ts, weights):
 _ERROR_WINDOW_BYTES = 1 << 17
 
 
-def _error_window(model, schedule, active, start, stop, dim):
+def _error_window(model, schedule, idx, start, stop, dim):
     """The injected errors of iterations start, start+1, ..., drawn in one
     ``model.error`` call, with their row norms.
 
     Iteration k gets the rows [0, *sorted(I_k)] at step k, row 0 being
-    e_{0,k}; ``active`` is iteration start's sorted block. The window ends
+    e_{0,k}; ``idx`` is iteration start's ``Block.idx``. The window ends
     before ``stop`` (the iteration cap), before its rows would pass
     ``_ERROR_WINDOW_BYTES`` and before a block the schedule rejects as
     corrupt, whose CoveringError the loop then raises at its own n;
@@ -333,17 +333,17 @@ def _error_window(model, schedule, active, start, stop, dim):
     first row of each iteration, with one more entry for the end.
     """
     max_rows = _ERROR_WINDOW_BYTES // (8 * dim)
-    indices = [0, *active]
+    indices = [0, *(idx + 1).tolist()]
     starts = [0, len(indices)]
     for k in range(start + 1, stop):
         try:
-            block = sorted(schedule.block(k))
+            block = schedule.block(k)
         except CoveringError:
             # a corrupt block belongs to iteration k, which may never run
             break
         if len(indices) + 1 + len(block) > max_rows:
             break
-        indices += [0, *block]
+        indices += [0, *(block.idx + 1).tolist()]
         starts.append(len(indices))
     steps = np.repeat(np.arange(start, start + len(starts) - 1),
                       np.diff(starts))
@@ -431,37 +431,41 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
                                      dist_ref=dist))
             break
 
-        active = sorted(block)
-        idx = np.array(active) - 1
+        idx = block.idx
         # covering is enforced on the fly: every K-window the run
         # traverses must activate all indices
         record_activation(last, idx, n, K)
         if economical:
-            y = z - w[idx] @ tbuf[idx]
+            wi = w[idx]
+            y = z - wi @ tbuf[idx]
 
         if eval_block is not None:
             outs = eval_block(idx, x)
         else:
-            ops = [tf(i, n) for i in active]
+            ops = [tf(i, n) for i in (idx + 1).tolist()]
             if not autonomous:
                 for op in ops:
                     _check_alpha(op, limit, cfg.epsilon)
             outs = [apply(op, x) for op in ops]
         if cfg.error_model is None:
-            tbuf[idx] = outs
+            new = outs
         else:
             if n == window_end:
                 window_errs, window_norms, starts = _error_window(
-                    cfg.error_model, schedule, active, n, cfg.max_iters, dim)
+                    cfg.error_model, schedule, idx, n, cfg.max_iters, dim)
                 window_start, window_end = n, n + len(starts) - 1
             # row 0 is e_{0,n}, the others e_{i,n} for the active i
             lo, hi = starts[n - window_start], starts[n - window_start + 1]
             errs = window_errs[lo:hi]
-            tbuf[idx] = outs + errs[1:]
+            new = outs + errs[1:]
             err_norms[idx] = window_norms[lo + 1:hi]
+        # the block's new rows in the layout a gather of tbuf[idx] has, so
+        # the economical update below need not gather them back
+        new = np.ascontiguousarray(new, dtype=float)
+        tbuf[idx] = new
 
         if economical:
-            z = y + w[idx] @ tbuf[idx]
+            z = y + wi @ new
             mean = z
         else:
             mean = w @ tbuf
@@ -470,14 +474,14 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         if not t0_fixed:
             _check_alpha(t0n, limit, cfg.epsilon)
         x_next = apply(t0n, mean)
-        err0 = 0.0
+        err0 = errsum = 0.0
         if cfg.error_model is not None:
             x_next = x_next + errs[0]
             err0 = float(window_norms[lo])
+            errsum = float(err_norms.sum())
         if not np.isfinite(x_next).all():
             raise NonFiniteError(f"iterate became non-finite at n={n}")
 
-        errsum = float(err_norms.sum())
         if n >= K - 1:
             sum_err0 += err0
             sum_lagged += errsum
@@ -552,14 +556,15 @@ def fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack=None):
     for n in range(total - 1):
         if blocks[n] is None:
             break
-        idx = block_indices(blocks[n])
-        if idx.size and (idx.min() < 0 or idx.max() >= w.size):
+        idx = as_block(blocks[n]).idx
+        if idx.size and (idx[0] < 0 or idx[-1] >= w.size):
             raise ValueError(f"block {sorted(blocks[n])} at n={n} names an "
                              f"index outside 1..{w.size} (one weight each)")
         record_activation(last, idx, n, K)
         if n < K - 1:
             continue
-        bound = float(sum(w * dists[last]))
+        # accumulate adds left to right, as the builtin sum did
+        bound = float(np.add.accumulate(w * dists[last])[-1])
         bound += float(err0s[n]) + float(errsums[n])
         violation = dists[n + 1] - bound
         checked += 1

@@ -1,0 +1,272 @@
+"""The Block contract: a schedule's blocks carry their sorted 0-based index
+array, built once and shared; the layers that read it (Fejer replay, trace
+writer) give what they gave when each of them sorted the set itself."""
+
+import copy
+import hashlib
+import math
+import pickle
+import re
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from blocksplit.harness import (TRACE_HEADER, run_experiment,
+                                synthetic_regression, synthetic_unit_rows,
+                                write_trace_csv)
+from blocksplit.operators import check_weights
+from blocksplit.problems import least_squares_feasibility
+from blocksplit.schedules import (Block, BlockSchedule, CoveringError,
+                                  make_cyclic, make_explicit,
+                                  make_quasicyclic_random, record_activation)
+from blocksplit.solver import (AuditReport, TraceRecord, fejer_audit_arrays)
+
+
+class TestBlock:
+    def test_idx_is_sorted_zero_based_and_read_only(self):
+        blk = Block([7, 3, 5])
+        assert blk.idx.tolist() == [2, 4, 6]
+        assert blk.idx.dtype == np.intp
+        with pytest.raises(ValueError):
+            blk.idx[0] = 0
+
+    def test_behaves_as_its_frozenset(self):
+        blk = Block({1, 4})
+        assert blk == frozenset({1, 4}) and frozenset({1, 4}) == blk
+        assert hash(blk) == hash(frozenset({1, 4}))
+        assert 4 in blk and 2 not in blk
+        assert {blk: "a"}[frozenset({4, 1})] == "a"
+        for derived in (blk | {2}, blk - {1}, blk & {1}, blk.union()):
+            assert type(derived) is frozenset
+
+    @pytest.mark.parametrize("clone", [
+        lambda b: pickle.loads(pickle.dumps(b)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"])
+    def test_copies_rebuild_a_read_only_idx(self, clone):
+        blk = Block([3, 1, 2])
+        twin = clone(blk)
+        assert type(twin) is Block and twin == blk
+        assert twin.idx.tolist() == [0, 1, 2]
+        assert not twin.idx.flags.writeable
+
+    def test_empty_block_has_an_empty_index_array(self):
+        blk = Block()
+        assert not blk and blk.idx.dtype == np.intp and blk.idx.size == 0
+
+    @pytest.mark.parametrize("members", [[1.7], [1, 2.5], ["a"], [2**70]],
+                             ids=["fraction", "mixed", "string", "huge"])
+    def test_non_integer_members_rejected(self, members):
+        with pytest.raises(ValueError, match="block members must be integers"):
+            Block(members)
+
+
+# the messages BlockSchedule.block raised for corrupt blocks when it
+# validated a plain frozenset; the Block checks keep them
+@pytest.mark.parametrize("members, message", [
+    (set(), "schedule 's': empty block at n=2"),
+    ({0, 1}, "schedule 's': block [0, 1] at n=2 not within 1..3"),
+    ({1, 4}, "schedule 's': block [1, 4] at n=2 not within 1..3"),
+    ({1.7}, "schedule 's': block [1.7] at n=2 not within 1..3"),
+], ids=["empty", "zero", "m-plus-one", "fraction"])
+def test_corrupt_blocks_raise_the_same_errors(members, message):
+    schedule = BlockSchedule(3, 1, lambda n: members, name="s")
+    with pytest.raises(CoveringError, match=f"^{re.escape(message)}$"):
+        schedule.block(2)
+
+
+def test_block_from_block_fn_is_returned_as_is():
+    blk = Block({1, 2})
+    assert BlockSchedule(2, 1, lambda n: blk).block(5) is blk
+    wrapped = BlockSchedule(2, 1, lambda n: [2, 1]).block(0)
+    assert type(wrapped) is Block and wrapped.idx.tolist() == [0, 1]
+
+
+class TestExplicitEntries:
+    def test_integral_float_entry_accepted(self):
+        blk = make_explicit(3, 1, [[1, 2.0, 3]]).block(0)
+        assert blk == {1, 2, 3} and blk.idx.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("entry", [1.7, True, "2"])
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match=re.escape(
+                f"schedule.blocks entry must be an integer, got {entry!r}")):
+            make_explicit(3, 1, [[1, entry, 3]])
+
+    def test_non_list_block_rejected(self):
+        with pytest.raises(ValueError, match="must be a list of index lists"):
+            make_explicit(3, 1, [1, [2, 3]])
+
+
+@st.composite
+def cyclic_cases(draw):
+    m = draw(st.integers(1, 40))
+    return make_cyclic(m, draw(st.integers(1, m)))
+
+
+@st.composite
+def explicit_cases(draw):
+    m = draw(st.integers(1, 8))
+    blocks = draw(st.lists(st.sets(st.integers(1, m), min_size=1),
+                           min_size=1, max_size=6))
+    return make_explicit(m, draw(st.integers(1, 5)), [list(b) for b in blocks])
+
+
+schedule_cases = st.one_of(
+    cyclic_cases(), explicit_cases(),
+    st.builds(make_quasicyclic_random, st.integers(1, 12), st.integers(1, 7),
+              st.integers(0, 2**32 - 1)))
+
+
+@settings(deadline=None)
+@given(schedule_cases)
+@example(make_cyclic(7, 3))     # wraps past m
+@example(make_cyclic(5, 5))     # full activation
+def test_every_block_carries_its_sorted_index_array(schedule):
+    for n in range(60):
+        blk = schedule.block(n)
+        assert type(blk) is Block
+        expected = np.array(sorted(blk)) - 1
+        assert np.array_equal(blk.idx, expected)
+        assert blk.idx.dtype == np.intp and not blk.idx.flags.writeable
+        assert schedule.block(n) is blk
+
+
+@given(st.integers(1, 40).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(1, m), st.integers(0, 200))))
+@example((7, 3, 2))
+@example((5, 5, 3))
+def test_cyclic_blocks_are_shared_across_periods(case):
+    m, block_size, n = case
+    schedule = make_cyclic(m, block_size)
+    period = m // math.gcd(m, block_size)
+    blk = schedule.block(n)
+    assert schedule.block(n + period) is blk
+    assert schedule.block(n % period) is blk
+
+
+# ---------------------------------------------------------------------------
+# readers of idx against the code they replace
+
+def reference_fejer_audit(dists, err0s, errsums, blocks, weights, K):
+    """The Fejer audit as it was written with an interpreter-level sum."""
+    w = check_weights(weights)
+    dists = np.asarray(dists, dtype=float)
+    slack = 1e-9 * (1.0 + float(dists[0]))
+    max_violation, first_bad, checked = -np.inf, None, 0
+    last = np.full(w.size, -1)
+    for n in range(dists.size - 1):
+        if blocks[n] is None:
+            break
+        idx = np.fromiter(blocks[n], np.intp, len(blocks[n])) - 1
+        record_activation(last, idx, n, K)
+        if n < K - 1:
+            continue
+        bound = float(sum(w * dists[last]))
+        bound += float(err0s[n]) + float(errsums[n])
+        violation = dists[n + 1] - bound
+        checked += 1
+        if violation > max_violation:
+            max_violation = violation
+        if violation > slack and first_bad is None:
+            first_bad = n
+    return AuditReport(passed=checked > 0 and max_violation <= slack,
+                       max_violation=float(max_violation), slack=slack,
+                       first_violation_n=first_bad, n_checked=checked,
+                       label="fejer")
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 300), st.integers(1, 6), st.integers(1, 40),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_fejer_audit_matches_the_interpreter_sum(m, K, steps, seed, plain):
+    rng = np.random.default_rng(seed)
+    schedule = make_quasicyclic_random(m, K, seed)
+    blocks = [schedule.block(n) for n in range(steps)] + [None]
+    if plain:
+        blocks = [None if b is None else frozenset(b) for b in blocks]
+    w = rng.random(m) + 0.01
+    w /= w.sum()
+    # magnitudes spread over many decades, so rounding order shows
+    dists = np.exp(rng.normal(0.0, 4.0, steps + 1))
+    err0s = rng.random(steps + 1) * 1e-3
+    errsums = rng.random(steps + 1) * 1e-3
+    args = (dists, err0s, errsums, blocks, w, K)
+    assert fejer_audit_arrays(*args) == reference_fejer_audit(*args)
+
+
+def _fmt(v):
+    return "" if v is None else repr(float(v))
+
+
+def reference_trace_csv(trace):
+    """The trace CSV as written when each record's block was sorted."""
+    lines = [TRACE_HEADER]
+    for rec in trace:
+        block = ("" if rec.block is None else
+                 "|".join(str(i) for i in sorted(rec.block)))
+        lines.append(",".join([
+            str(rec.n), _fmt(rec.residual), _fmt(rec.step), _fmt(rec.err0),
+            _fmt(rec.errsum), block, _fmt(rec.dist_ref),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+values = st.none() | st.floats()
+blocks = st.none() | st.sets(st.integers(1, 3000), min_size=1).flatmap(
+    lambda s: st.sampled_from([Block(s), frozenset(s)]))
+records = st.builds(TraceRecord, n=st.integers(0, 10**6),
+                    x=st.just(np.zeros(1)), block=blocks, residual=values,
+                    step=values, err0=values, errsum=values, dist_ref=values)
+
+
+@settings(deadline=None)
+@given(st.lists(records, max_size=8))
+def test_trace_csv_matches_the_sorting_writer(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    write_trace_csv(path, trace)
+    assert path.read_text() == reference_trace_csv(trace)
+
+
+def test_trace_records_are_slotted():
+    rec = TraceRecord(n=0, x=np.zeros(1))
+    assert not hasattr(rec, "__dict__")
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+
+
+# ---------------------------------------------------------------------------
+# trace bytes pinned before blocks carried their index arrays
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_readme_config_with_errors_trace_pinned(tmp_path):
+    A, eta, _ = synthetic_regression(20, 30, 1)
+    np.savetxt(tmp_path / "data.csv", np.column_stack([A, eta]),
+               delimiter=",")
+    cfg = {
+        "problem": {"variant": "lasso", "data_csv": "data.csv",
+                    "l1_weight": 0.01},
+        "schedule": {"type": "quasicyclic", "m": 30, "K": 5, "seed": 1},
+        "solver": {"max_iters": 300, "tol_residual": 1e-10,
+                   "check_every": 10},
+        "errors": {"c": 0.01, "p": 2.0, "seed": 4},
+        "audits": {"fejer": True, "reference_iters": 2000},
+        "output": {"trace": "trace.csv"},
+    }
+    run_experiment(cfg, base_dir=tmp_path)
+    assert _sha256(tmp_path / "trace.csv") == (
+        "46766c88651e5ba0860aa404afa0ffcf7e35e4b04adf4cb0a4d273a619302150")
+
+
+def test_cyclic_economical_least_squares_trace_pinned(tmp_path):
+    prob = least_squares_feasibility(*synthetic_unit_rows(6, 50, 2))
+    # blocks of 15 over 50 operators wrap, with a period of 10 blocks
+    res = prob.solve(make_cyclic(50, 15), np.zeros(6), economical=True,
+                     x_ref=np.ones(6), max_iters=120, tol_residual=1e-12,
+                     check_every=7)
+    write_trace_csv(tmp_path / "trace.csv", res.trace)
+    assert _sha256(tmp_path / "trace.csv") == (
+        "6ebe62e3ff4fb5ef399884a8b2fbbde56896eb42b379e8e01b2fa17a069dbf05")

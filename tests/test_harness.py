@@ -394,9 +394,16 @@ class TestCLI:
          "solver.tol_residual must be a number, got '1e-3'"),
         ("solver", {"epsilon": "1e-3"},
          "solver.epsilon must be a number, got '1e-3'"),
+        ("schedule", {"type": "explicit", "K": 2,
+                      "blocks": [[1, 2, 3.7], [4, 5, 6]]},
+         "schedule.blocks entry must be an integer, got 3.7"),
+        ("schedule", {"type": "explicit", "K": 2,
+                      "blocks": [[1, 2, True], [4, 5, 6]]},
+         "schedule.blocks entry must be an integer, got True"),
     ], ids=["economical-string", "fejer-string", "m-fraction", "K-fraction",
             "block-size-fraction", "seed-bool", "max-iters-fraction",
-            "check-every-bool", "tol-residual-string", "epsilon-string"])
+            "check-every-bool", "tol-residual-string", "epsilon-string",
+            "blocks-fraction", "blocks-bool"])
     def test_solve_mistyped_scalar(self, tmp_path, capsys, section, patch,
                                    message):
         cfg = lasso_config(tmp_path)
@@ -449,8 +456,17 @@ class TestCLI:
          "schedule section must be a JSON object, got str"),
         ({"schedule": {"type": "cyclic", "m": 30.7, "block_size": 5}},
          "schedule.m must be an integer, got 30.7"),
+        ({"schedule": {"type": "explicit", "m": 3, "K": 2,
+                       "blocks": [[1, 1.7], [2, 3]]}},
+         "schedule.blocks entry must be an integer, got 1.7"),
+        ({"schedule": {"type": "explicit", "m": 3, "K": 2,
+                       "blocks": [[1, True], [2, 3]]}},
+         "schedule.blocks entry must be an integer, got True"),
+        ({"schedule": {"type": "explicit", "m": 3, "K": 2,
+                       "blocks": [1, [2, 3]]}},
+         "schedule.blocks must be a list of index lists, got [1, [2, 3]]"),
     ], ids=["top-level-array", "schedule-array", "schedule-string",
-            "m-fraction"])
+            "m-fraction", "blocks-fraction", "blocks-bool", "blocks-number"])
     def test_schedule_check_malformed_config(self, tmp_path, capsys, cfg,
                                              message):
         path = tmp_path / "s.json"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from blocksplit.schedules import (BlockSchedule, CoveringError,
-                                  block_indices, check_concentrating,
+                                  check_concentrating,
                                   ConcentratingRow,
                                   lag_identity_check, last_activation,
                                   make_cyclic, make_explicit, make_full,
@@ -164,8 +164,7 @@ class TestRecordActivation:
     def test_running_list_matches_window_scan(self, schedule):
         last = np.full(schedule.m, -1)
         for n in range(300):
-            record_activation(last, block_indices(schedule.block(n)), n,
-                              schedule.K)
+            record_activation(last, schedule.block(n).idx, n, schedule.K)
             if n >= schedule.K - 1:
                 assert last.tolist() == [last_activation(schedule, i, n)
                                          for i in range(1, schedule.m + 1)]
@@ -376,8 +375,7 @@ class TestCoveringProperties:
         last = np.full(schedule.m, -1)
         for n in range(K + 30):
             try:
-                record_activation(last, block_indices(schedule.block(n)), n,
-                                  K)
+                record_activation(last, schedule.block(n).idx, n, K)
             except CoveringError as exc:
                 assert (covering_by_window_scan(schedule, n + 1)
                         == (exc.start, exc.missing))
@@ -394,8 +392,7 @@ class TestCoveringProperties:
         last = np.full(schedule.m, -1)
         try:
             for n in range(K + 12):
-                record_activation(last, block_indices(schedule.block(n)), n,
-                                  K)
+                record_activation(last, schedule.block(n).idx, n, K)
         except CoveringError as exc:
             match = WINDOW_MESSAGE.match(str(exc))
             assert match is not None
