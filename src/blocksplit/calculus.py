@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
-from .operators import AveragedOp, as_point
+from .operators import AveragedOp, as_int, as_point
 
 MEMBERSHIP_TOL = 1e-14
 
@@ -163,7 +163,7 @@ def set_from_spec(spec):
     if kind == "singleton":
         return Singleton(spec["point"])
     if kind == "full":
-        return FullSpace(int(spec["dim"]))
+        return FullSpace(as_int(spec["dim"], "full set dim"))
     raise ValueError(f"unknown set kind {kind!r}")
 
 

@@ -264,9 +264,12 @@ def config_flag(section, name, key):
 
 
 def config_number(section, name, key, default):
-    """``section[key]`` as a float, ``default`` when absent; a value that is
-    not a JSON number (a string such as "1e-3", a boolean) is a ConfigError."""
-    value = section.get(key, default)
+    """``section[key]`` as a float, ``default`` when absent (None for an
+    optional key such as problem.gamma); a value that is not a JSON number (a
+    string such as "1e-3", a boolean, null) is a ConfigError."""
+    if key not in section:
+        return default
+    value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name}.{key} must be a number, got {value!r}")
     return float(value)
@@ -300,17 +303,18 @@ def build_problem_from_config(pcfg, base_dir="."):
         variant = pcfg["variant"]
     except (TypeError, KeyError) as exc:
         raise ConfigError("problem section needs a variant") from exc
-    gamma = pcfg.get("gamma")
+    gamma = config_number(pcfg, "problem", "gamma", None)
     weights = pcfg.get("weights")
     try:
-        if variant == "lasso":
+        if variant in ("lasso", "logistic"):
+            builder = (problems.lasso_problem if variant == "lasso"
+                       else problems.logistic_problem)
             rows, targets = _problem_data(pcfg, base_dir)
-            return problems.lasso_problem(rows, targets, pcfg["l1_weight"],
-                                          gamma=gamma, weights=weights)
-        if variant == "logistic":
-            rows, targets = _problem_data(pcfg, base_dir)
-            return problems.logistic_problem(rows, targets, pcfg["l1_weight"],
-                                             gamma=gamma, weights=weights)
+            if "l1_weight" not in pcfg:
+                raise ConfigError(f"{variant} problem needs an l1_weight")
+            return builder(rows, targets,
+                           config_number(pcfg, "problem", "l1_weight", None),
+                           gamma=gamma, weights=weights)
         if variant == "least_squares":
             rows, targets = _problem_data(pcfg, base_dir)
             return problems.least_squares_feasibility(rows, targets,
@@ -361,11 +365,12 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
         error_model = None
         ecfg = config_section(cfg, "errors")
         if ecfg:
+            c = config_number(ecfg, "errors", "c", 0.0)
+            p = config_number(ecfg, "errors", "p", 2.0)
             try:
                 error_model = SeededDecayErrors(
-                    ecfg.get("c", 0.0),
-                    seed=seed if seed is not None else ecfg.get("seed", 0),
-                    p=ecfg.get("p", 2.0))
+                    c, seed=seed if seed is not None else ecfg.get("seed", 0),
+                    p=p)
             except ValueError as exc:
                 raise ConfigError(f"errors: {exc}") from exc
         economical = config_flag(scfg, "solver", "economical")
@@ -388,11 +393,14 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
             raise ConfigError(f"solver.x0: {exc}") from exc
         audits_cfg = config_section(cfg, "audits")
         fejer = config_flag(audits_cfg, "audits", "fejer")
-        reference_iters = audits_cfg.get("reference_iters", 200_000)
-        if (isinstance(reference_iters, bool)
-                or not isinstance(reference_iters, int) or reference_iters < 0):
+        raw_iters = audits_cfg.get("reference_iters", 200_000)
+        try:
+            reference_iters = as_int(raw_iters, "audits.reference_iters")
+            if reference_iters < 0:
+                raise ValueError
+        except ValueError:
             raise ConfigError(f"audits.reference_iters must be an integer "
-                              f">= 0, got {reference_iters!r}")
+                              f">= 0, got {raw_iters!r}") from None
         output_cfg = config_section(cfg, "output")
         for key in ("trace", "summary"):
             path = output_cfg.get(key)

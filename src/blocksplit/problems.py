@@ -72,24 +72,34 @@ def _certify(ops, sample_count, seed, what):
 # ---------------------------------------------------------------------------
 # common fixed points and residual systems
 
-def build_common_fixed_point(Ts, weights=None, certify_samples=128, seed=0):
-    """Seek a common fixed point of firmly nonexpansive operators.
-
-    The outer operator is the identity; solving drives the iterates into the
-    intersection of the fixed point sets when it is nonempty.
-    """
-    ops = list(Ts)
+def _firm_family(ops, certify_samples, seed, what):
+    """``ops`` as a list and their common dimension, after checking that they
+    are a nonempty family of firmly nonexpansive operators on one space."""
+    ops = list(ops)
     if not ops:
         raise ValueError("need at least one operator")
     dim = ops[0].dim
     for op in ops:
+        if op.dim != dim:
+            raise ValueError(f"operator {op.name!r} acts on dimension "
+                             f"{op.dim}, not {dim}: one space required")
         if op.alpha > 0.5:
             raise ValueError(
                 f"operator {op.name!r} declares alpha={op.alpha} > 1/2; "
                 "firm nonexpansiveness required"
             )
     if certify_samples:
-        _certify(ops, certify_samples, seed, "common fixed point")
+        _certify(ops, certify_samples, seed, what)
+    return ops, dim
+
+
+def build_common_fixed_point(Ts, weights=None, certify_samples=128, seed=0):
+    """Seek a common fixed point of firmly nonexpansive operators.
+
+    The outer operator is the identity; solving drives the iterates into the
+    intersection of the fixed point sets when it is nonempty.
+    """
+    ops, dim = _firm_family(Ts, certify_samples, seed, "common fixed point")
     w = _resolve_weights(weights, len(ops))
     return BuiltProblem(t0=identity_op(dim), ts=ops, weights=w, dim=dim,
                         m=len(ops), name="common_fixed_point")
@@ -104,15 +114,10 @@ def build_residual_system(Rs, rs, weights=None, certify_samples=128, seed=0):
     Rs = list(Rs)
     if len(Rs) != len(rs):
         raise ValueError("one target per operator required")
-    dim = Rs[0].dim
-    if certify_samples:
-        _certify(Rs, certify_samples, seed, "residual system")
+    Rs, dim = _firm_family(Rs, certify_samples, seed, "residual system")
     targets = [as_point(r, dim=dim) for r in rs]
     ops = []
     for k, (R, r) in enumerate(zip(Rs, targets)):
-        if R.alpha > 0.5:
-            raise ValueError(f"operator {R.name!r} is not firmly nonexpansive")
-
         def fn(x, R=R, r=r):
             return r + x - R(x)
 
@@ -211,11 +216,15 @@ def build_forward_backward(a0_resolvent, As, betas, dim, gamma=None,
 
     ``a0_resolvent`` evaluates (gamma, x) -> J_{gamma A_0} x; each A_i must be
     beta_i-cocoercive so that Id - gamma A_i is averaged for
-    gamma < 2 min beta_i. With A_0 a normal cone this solves the associated
-    variational inequality.
+    gamma < 2 min beta_i. ``As`` is a list of the A_i, or one row kernel
+    ``As(idx, x) -> (len(idx), dim)`` of A_i x at the 0-based rows ``idx``,
+    whose forward steps form a ``RowStack``. A_0 a normal cone gives a
+    variational inequality; A_0 the subdifferential of f_0 and A_i = grad f_i
+    give proximal gradient.
     """
-    m = len(As)
+    stacked = callable(As)
     betas = np.asarray(betas, dtype=float)
+    m = betas.size if stacked else len(As)
     if betas.shape != (m,) or np.any(betas <= 0):
         raise ValueError("need one positive cocoercivity constant per operator")
     bound = 2.0 * float(betas.min())
@@ -223,10 +232,14 @@ def build_forward_backward(a0_resolvent, As, betas, dim, gamma=None,
         gamma = 0.9 * bound
     if not 0.0 < gamma < bound:
         raise ValueError(f"gamma must lie in (0, {bound}), got {gamma}")
-    lipschitzs = lipschitzs or [None] * m
-    ops = [gradient_step_op(A, float(b), gamma, dim, lipschitz=l,
-                            name=f"forward[{k + 1}]")
-           for k, (A, b, l) in enumerate(zip(As, betas, lipschitzs))]
+    names = [f"forward[{k + 1}]" for k in range(m)]
+    if stacked:
+        ops = RowStack(lambda idx, x: x - gamma * As(idx, x), dim,
+                       gamma / (2.0 * betas), names)
+    else:
+        ops = [gradient_step_op(A, float(b), gamma, dim, lipschitz=l, name=name)
+               for A, b, l, name in zip(As, betas, lipschitzs or [None] * m,
+                                        names)]
     t0 = AveragedOp(lambda x: np.asarray(a0_resolvent(gamma, x), dtype=float),
                     dim=dim, alpha=0.5, lipschitz=lipschitz0, name="J[gamma A0]")
     w = _resolve_weights(weights, m)
@@ -243,40 +256,23 @@ def build_prox_grad(f0_prox, grads, betas, dim, gamma=None, weights=None,
                     objective=None, meta=None):
     """Minimize f_0 + sum_i w_i f_i with smooth f_i and proximable f_0.
 
-    ``f0_prox`` evaluates (gamma, x) -> prox_{gamma f_0} x. ``grads`` is
-    either a list whose entry i is the gradient of f_i, or one row kernel
-    ``grads(idx, x) -> (len(idx), dim)`` giving the gradients of the f_i at
-    the 0-based rows ``idx``; the forward steps are then a ``RowStack``. The
-    gradient of f_i has a 1/beta_i Lipschitz constant.
+    This is ``build_forward_backward`` with A_0 the subdifferential of f_0,
+    whose resolvent ``f0_prox`` evaluates (gamma, x) -> prox_{gamma f_0} x,
+    and A_i = grad f_i with a 1/beta_i Lipschitz constant. ``grads`` is a
+    list of the gradients or one row gradient kernel, as ``As`` there.
     """
-    stacked = callable(grads)
-    betas = np.asarray(betas, dtype=float)
-    m = betas.size if stacked else len(grads)
-    if betas.shape != (m,) or np.any(betas <= 0):
-        raise ValueError("need one positive beta per gradient")
-    bound = 2.0 * float(betas.min())
-    if gamma is None:
-        gamma = 0.9 * bound
-    if not 0.0 < gamma < bound:
-        raise ValueError(f"gamma must lie in (0, {bound}), got {gamma}")
-    w = _resolve_weights(weights, m)
-    names = [f"grad-step[{k + 1}]" for k in range(m)]
-    if stacked:
-        ops = RowStack(lambda idx, x: x - gamma * grads(idx, x), dim,
-                       gamma / (2.0 * betas), names)
-        default_grad = lambda x: w @ grads(slice(None), x)
+    prob = build_forward_backward(f0_prox, grads, betas, dim, gamma, weights,
+                                  lipschitz0=1.0)
+    if callable(grads):
+        default_grad = lambda x: prob.weights @ grads(slice(None), x)
     else:
-        ops = [gradient_step_op(g, float(b), gamma, dim, name=name)
-               for g, b, name in zip(grads, betas, names)]
         default_grad = lambda x: sum(wi * np.asarray(g(x), dtype=float)
-                                     for wi, g in zip(w, grads))
-    t0 = AveragedOp(lambda x: np.asarray(f0_prox(gamma, x), dtype=float),
-                    dim=dim, alpha=0.5, lipschitz=1.0, name="prox[gamma f0]")
-    meta = dict(meta or {})
-    meta.setdefault("f0_prox", f0_prox)
-    meta.setdefault("smooth_grad", default_grad)
-    return BuiltProblem(t0=t0, ts=ops, weights=w, dim=dim, m=m, gamma=gamma,
-                        objective=objective, name="prox_grad", meta=meta)
+                                     for wi, g in zip(prob.weights, grads))
+    prob.objective = objective
+    prob.name = "prox_grad"
+    prob.meta = {"f0_prox": f0_prox, "smooth_grad": default_grad,
+                 **(meta or {})}
+    return prob
 
 
 def _rows_and_targets(rows, targets, what):
@@ -399,7 +395,7 @@ def build_feasibility_relaxation(C0, terms, gamma=None, weights=None):
     if not terms:
         raise ValueError("need at least one (L, D, phi) term")
     dim = C0.dim
-    mus = []
+    betas = []
     for L, D, phi in terms:
         if not isinstance(L, LinearMap) or not isinstance(D, ConvexSet):
             raise ValueError("each term must be (LinearMap, ConvexSet, SmoothScalar)")
@@ -409,20 +405,8 @@ def build_feasibility_relaxation(C0, terms, gamma=None, weights=None):
             raise ValueError("dimension mismatch in (L, D) term")
         if L.norm <= 0.0:
             raise ValueError("linear maps must be nonzero")
-        mus.append(phi.lipschitz_of_derivative * L.norm ** 2)
-    beta = 1.0 / max(mus)
-    if gamma is None:
-        gamma = 0.9 * 2.0 * beta
-    if not 0.0 < gamma < 2.0 * beta:
-        raise ValueError(f"gamma must lie in (0, {2.0 * beta}), got {gamma}")
-
-    m = len(terms)
-    ops = []
-    for k, ((L, D, phi), mu) in enumerate(zip(terms, mus)):
-        grad = (lambda x, phi=phi, L=L, D=D: grad_distance_penalty(phi, L, D, x))
-        ops.append(gradient_step_op(grad, 1.0 / mu, gamma, dim,
-                                    name=f"penalty-step[{k + 1}]"))
-    w = _resolve_weights(weights, m)
+        betas.append(1.0 / (phi.lipschitz_of_derivative * L.norm ** 2))
+    w = _resolve_weights(weights, len(terms))
 
     def objective(x):
         return float(sum(wi * distance_penalty_value(phi, L, D, x)
@@ -431,10 +415,15 @@ def build_feasibility_relaxation(C0, terms, gamma=None, weights=None):
     def feasibility_gap(x):
         return max(float(D.distance(L(x))) for L, D, _ in terms)
 
-    return BuiltProblem(t0=projector_op(C0, name="proj[C0]"), ts=ops, weights=w,
-                        dim=dim, m=m, gamma=gamma, objective=objective,
-                        name="feasibility_relaxation",
-                        meta={"feasibility_gap": feasibility_gap, "beta": beta})
+    # f_0 is the indicator of C0, whose prox is the projector onto C0
+    prob = build_prox_grad(
+        normal_cone_resolvent(C0),
+        [lambda x, phi=phi, L=L, D=D: grad_distance_penalty(phi, L, D, x)
+         for L, D, phi in terms],
+        betas, dim, gamma=gamma, weights=w, objective=objective,
+        meta={"feasibility_gap": feasibility_gap, "beta": min(betas)})
+    prob.name = "feasibility_relaxation"
+    return prob
 
 
 def least_squares_feasibility(rows, targets, gamma=None, weights=None):

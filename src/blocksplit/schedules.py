@@ -331,10 +331,11 @@ def mu_row(schedule, weights, n):
     entries = {}
     seen = set()
     for j in range(n, n - K, -1):
-        fresh = schedule.block(j) - seen
+        block = schedule.block(j)
+        fresh = block - seen
         if fresh:
             entries[j] = float(sum(w[i - 1] for i in sorted(fresh)))
-        seen |= schedule.block(j)
+        seen |= block
     return ConcentratingRow(n=n, entries=entries)
 
 

@@ -18,6 +18,7 @@ from blocksplit.harness import (TRACE_HEADER, run_experiment,
 from blocksplit.operators import check_weights
 from blocksplit.problems import least_squares_feasibility
 from blocksplit.schedules import (Block, BlockSchedule, CoveringError,
+                                  lag_identity_check, last_activation,
                                   make_cyclic, make_explicit,
                                   make_quasicyclic_random, record_activation)
 from blocksplit.solver import (AuditReport, TraceRecord, fejer_audit_arrays)
@@ -143,6 +144,32 @@ def test_cyclic_blocks_are_shared_across_periods(case):
     blk = schedule.block(n)
     assert schedule.block(n + period) is blk
     assert schedule.block(n % period) is blk
+
+
+@settings(deadline=None, max_examples=50)
+@given(schedule_cases, st.integers(0, 40), st.integers(0, 2**32 - 1))
+@example(make_cyclic(7, 3), 20, 0)
+@example(make_explicit(3, 2, [[1], [2], [3]]), 5, 1)    # violates covering
+def test_lag_identity_on_running_last_activations(schedule, extra, seed):
+    """For every n >= K-1 the running ``last`` array is c(., n), and the
+    array row n weighs any nonnegative sequence as the lagged gather does."""
+    K, m = schedule.K, schedule.m
+    rng = np.random.default_rng(seed)
+    raw = rng.random(m) + 0.05
+    weights = raw / raw.sum()
+    last = np.full(m, -1)
+    for n in range(K + extra):
+        try:
+            record_activation(last, schedule.block(n).idx, n, K)
+        except CoveringError as exc:
+            # c(i, n) is undefined from here on, for a real missing index
+            with pytest.raises(CoveringError):
+                last_activation(schedule, exc.missing[0], n)
+            return
+        if n >= K - 1:
+            assert last.tolist() == [last_activation(schedule, i, n)
+                                     for i in range(1, m + 1)]
+            assert lag_identity_check(schedule, weights, n, rng.random(n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,13 @@ class TestProjections:
         assert np.allclose(ball.project([2.0, 0.0]), [1.0, 0.0])
         with pytest.raises(ValueError):
             set_from_spec({"set": "moon"})
+
+    def test_full_set_dimension_is_an_integer(self):
+        assert set_from_spec({"set": "full", "dim": 2.0}).dim == 2
+        for dim in (2.7, True, "2"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"full set dim must be an integer, got {dim!r}")):
+                set_from_spec({"set": "full", "dim": dim})
 
 
 class TestResolvents:

@@ -361,10 +361,39 @@ class TestCLI:
         (lambda cfg: {**cfg, "audits": {"fejer": True,
                                         "reference_iters": -1}},
          "audits.reference_iters must be an integer >= 0, got -1"),
+        (lambda cfg: {**cfg, "audits": {"fejer": True,
+                                        "reference_iters": 20.5}},
+         "audits.reference_iters must be an integer >= 0, got 20.5"),
+        (lambda cfg: {**cfg, "problem": {
+            "variant": "common_fixed_point",
+            "sets": [{"set": "ball", "center": [0, 0, 0], "radius": 1},
+                     {"set": "ball", "center": [0, 0], "radius": 1}]},
+            "schedule": {"type": "cyclic", "m": 2, "block_size": 1}},
+         "acts on dimension 2, not 3: one space required"),
+        (lambda cfg: {**cfg, "problem": {
+            "variant": "alternating_projections",
+            "C": {"set": "full", "dim": 2.7},
+            "D": {"set": "ball", "center": [0, 0], "radius": 1}},
+            "schedule": {"type": "cyclic", "m": 1, "block_size": 1}},
+         "full set dim must be an integer, got 2.7"),
+        (lambda cfg: {**cfg, "problem": {
+            "variant": "alternating_projections",
+            "C": {"set": "full", "dim": True},
+            "D": {"set": "ball", "center": [0], "radius": 1}},
+            "schedule": {"type": "cyclic", "m": 1, "block_size": 1}},
+         "full set dim must be an integer, got True"),
+        (lambda cfg: {**cfg, "problem": {
+            "variant": "alternating_projections",
+            "C": {"set": "full", "dim": "2"},
+            "D": {"set": "ball", "center": [0, 0], "radius": 1}},
+            "schedule": {"type": "cyclic", "m": 1, "block_size": 1}},
+         "full set dim must be an integer, got '2'"),
     ], ids=["top-level-array", "top-level-string", "audits-array",
             "errors-number", "output-string", "output-trace-number",
             "set-spec-number",
-            "reference-iters-string", "reference-iters-negative"])
+            "reference-iters-string", "reference-iters-negative",
+            "reference-iters-fraction", "common-fixed-point-dimensions",
+            "full-dim-fraction", "full-dim-bool", "full-dim-string"])
     def test_solve_malformed_config(self, tmp_path, capsys, edit, message):
         cfg = lasso_config(tmp_path)
         cfg["problem"]["data_csv"] = str(tmp_path / "data.csv")
@@ -400,10 +429,26 @@ class TestCLI:
         ("schedule", {"type": "explicit", "K": 2,
                       "blocks": [[1, 2, True], [4, 5, 6]]},
          "schedule.blocks entry must be an integer, got True"),
+        ("errors", {"c": True}, "errors.c must be a number, got True"),
+        ("errors", {"c": "0.1"}, "errors.c must be a number, got '0.1'"),
+        ("errors", {"c": 0.01, "p": True},
+         "errors.p must be a number, got True"),
+        ("errors", {"c": 0.01, "p": None},
+         "errors.p must be a number, got None"),
+        ("problem", {"l1_weight": True},
+         "problem.l1_weight must be a number, got True"),
+        ("problem", {"l1_weight": "0.02"},
+         "problem.l1_weight must be a number, got '0.02'"),
+        ("problem", {"gamma": True}, "problem.gamma must be a number, got True"),
+        ("problem", {"gamma": "0.5"},
+         "problem.gamma must be a number, got '0.5'"),
     ], ids=["economical-string", "fejer-string", "m-fraction", "K-fraction",
             "block-size-fraction", "seed-bool", "max-iters-fraction",
             "check-every-bool", "tol-residual-string", "epsilon-string",
-            "blocks-fraction", "blocks-bool"])
+            "blocks-fraction", "blocks-bool", "errors-c-bool",
+            "errors-c-string", "errors-p-bool", "errors-p-null",
+            "l1-weight-bool", "l1-weight-string", "gamma-bool",
+            "gamma-string"])
     def test_solve_mistyped_scalar(self, tmp_path, capsys, section, patch,
                                    message):
         cfg = lasso_config(tmp_path)
@@ -424,6 +469,24 @@ class TestCLI:
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["solve", "--config", str(cfg_path)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["converged"]
+
+    def test_solve_integral_float_reference_iters(self, tmp_path, capsys):
+        cfg = lasso_config(tmp_path, audits={"fejer": True,
+                                             "reference_iters": 100000.0})
+        cfg["problem"]["data_csv"] = str(tmp_path / "data.csv")
+        cfg.pop("output")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["solve", "--config", str(cfg_path)]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["reference_converged"] and out["audits"]["fejer"]
+
+    def test_solve_missing_l1_weight(self, tmp_path, capsys):
+        cfg = lasso_config(tmp_path)
+        del cfg["problem"]["l1_weight"]
+        code, err = self.solve_error(tmp_path, capsys, cfg)
+        assert code == EXIT_CONFIG
+        assert "lasso problem needs an l1_weight" in err
 
     @pytest.mark.parametrize("key", ["trace", "summary"])
     def test_solve_output_in_missing_directory(self, tmp_path, capsys, key):

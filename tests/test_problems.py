@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from blocksplit.calculus import (Ball, Box, Halfspace, Hyperplane,
+from blocksplit.calculus import (Ball, Box, Halfspace, Hyperplane, LinearMap,
                                  half_square, identity_map, projector_op)
-from blocksplit.harness import (oracle_least_squares, synthetic_regression,
-                                synthetic_unit_rows)
-from blocksplit.operators import certify_averaged, identity_op
+from blocksplit.harness import (oracle_least_squares,
+                                oracle_prox_grad_reference,
+                                synthetic_regression, synthetic_unit_rows)
+from blocksplit.operators import RowStack, certify_averaged, identity_op
 from blocksplit.problems import (alternating_projections,
                                  build_cohypomonotone,
                                  build_common_fixed_point,
@@ -56,8 +57,26 @@ class TestCommonFixedPoint:
         with pytest.raises(ValueError, match="certificate"):
             build_common_fixed_point([liar])
 
+    def test_rejects_mixed_dimensions(self):
+        ops = [projector_op(Ball([0.0, 0.0, 0.0], 1.0)),
+               projector_op(Ball([0.0, 0.0], 1.0))]
+        with pytest.raises(ValueError,
+                           match="acts on dimension 2, not 3: one space"):
+            build_common_fixed_point(ops)
+        with pytest.raises(ValueError,
+                           match="acts on dimension 2, not 3: one space"):
+            build_residual_system(ops, [[0.0, 0.0, 0.0], [0.0, 0.0]])
+
 
 class TestResidualSystem:
+    def test_empty_system_rejected(self):
+        with pytest.raises(ValueError, match="need at least one operator"):
+            build_residual_system([], [])
+
+    def test_rejects_non_firm(self):
+        with pytest.raises(ValueError, match="firm"):
+            build_residual_system([identity_op(2, alpha=0.9)], [[0.0, 0.0]])
+
     def test_vacuous_system_fixes_start(self):
         # R constant zero with target zero: every x solves, so x0 is returned
         from blocksplit.operators import scaling_op
@@ -168,6 +187,31 @@ class TestForwardBackward:
         with pytest.raises(ValueError, match="gamma"):
             build_forward_backward(lambda g, x: x, [lambda x: x], betas=[0.5],
                                    dim=1, gamma=1.0)
+
+    def test_row_kernel_matches_operator_list(self):
+        A = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
+        b = np.array([1.0, 0.0, -2.0])
+
+        def kernel(idx, x):
+            return (((A[idx] * x).sum(axis=1) - b[idx]))[:, None] * A[idx]
+
+        As = [lambda x, k=k: kernel(slice(k, k + 1), x)[0] for k in range(3)]
+        betas = 1.0 / (A * A).sum(axis=1)
+        C = Ball([0.0, 0.0], 0.5)
+        stacked = build_forward_backward(normal_cone_resolvent(C), kernel,
+                                         betas, dim=2)
+        listed = build_forward_backward(normal_cone_resolvent(C), As, betas,
+                                        dim=2)
+        assert isinstance(stacked.ts, RowStack) and stacked.m == 3
+        assert [op.alpha for op in stacked.ts] == list(
+            stacked.gamma / (2.0 * betas))
+        assert [op.alpha for op in stacked.ts] == [op.alpha for op in listed.ts]
+        x = np.array([0.3, -0.7])
+        assert np.array_equal(stacked.ts.eval_block(slice(None), x),
+                              np.stack([T(x) for T in listed.ts]))
+        runs = [prob.solve(make_cyclic(3, 2), [2.0, 1.0], max_iters=500,
+                           tol_residual=1e-12) for prob in (stacked, listed)]
+        assert np.array_equal(runs[0].x, runs[1].x)
 
 
 class TestProxGrad:
@@ -289,6 +333,25 @@ class TestFeasibilityRelaxation:
             x_fr = fr.op(0)(fr.op(1)(x_fr))
             x_ap = ap.op(0)(ap.op(1)(x_ap))
             assert np.max(np.abs(x_fr - x_ap)) <= 1e-12
+
+    def test_forward_backward_instance(self):
+        M = np.array([[2.0, 0.0], [1.0, 1.0]])
+        terms = [(identity_map(2), Halfspace([1.0, 0.0], 0.0), half_square()),
+                 (LinearMap(M), Ball([0.0, 1.0], 0.5), half_square())]
+        C0 = Ball([0.0, 0.0], 2.0)
+        prob = build_feasibility_relaxation(C0, terms)
+        mus = [1.0, np.linalg.norm(M, 2) ** 2]
+        assert prob.meta["beta"] == 1.0 / max(mus)
+        assert prob.gamma == 0.9 * 2.0 * (1.0 / max(mus))
+        assert [op.alpha for op in prob.ts] == [prob.gamma * mu / 2.0
+                                               for mu in mus]
+        x = np.array([3.0, -4.0])
+        assert np.array_equal(prob.t0(x), C0.project(x))
+        # f_0 is the indicator of C0, so the prox-gradient oracle applies
+        ref = oracle_prox_grad_reference(prob, optimality_tol=1e-7)
+        res = prob.solve(make_cyclic(2, 1), x, max_iters=20_000,
+                         tol_residual=1e-12)
+        assert np.linalg.norm(res.x - ref.solution) <= 1e-8
 
     def test_parameter_validation(self):
         C0 = Ball([0.0, 0.0], 1.0)
