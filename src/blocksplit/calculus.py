@@ -31,9 +31,6 @@ class ConvexSet:
         x = as_point(x, dim=self.dim)
         return float(np.linalg.norm(x - self.project(x)))
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return self.distance(x) <= tol
-
 
 class Box(ConvexSet):
     def __init__(self, lower, upper):

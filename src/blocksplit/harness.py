@@ -413,50 +413,56 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
         return EXIT_CONFIG, {"error": f"bad config: {exc}"}
 
     try:
-        x_ref = ref = None
-        if fejer:
-            # error-free full-activation reference at tight tolerance
-            ref = run(problem.t0, problem.ts,
-                      SolverConfig(weights=problem.weights,
-                                   schedule=make_full(problem.m),
-                                   max_iters=reference_iters,
-                                   tol_residual=1e-13,
-                                   check_every=10),
-                      x0)
-            x_ref = ref.x
-        runner = run_economical if economical else run
-        result = runner(problem.t0, problem.ts, solver_cfg, x0, x_ref=x_ref)
+        # an overflow or an invalid operation is a divergence, reported
+        # once as such, not a RuntimeWarning and an Infinity in the summary
+        with np.errstate(over="raise", invalid="raise"):
+            x_ref = ref = None
+            if fejer:
+                # error-free full-activation reference at tight tolerance
+                ref = run(problem.t0, problem.ts,
+                          SolverConfig(weights=problem.weights,
+                                       schedule=make_full(problem.m),
+                                       max_iters=reference_iters,
+                                       tol_residual=1e-13,
+                                       check_every=10),
+                          x0)
+                x_ref = ref.x
+            runner = run_economical if economical else run
+            result = runner(problem.t0, problem.ts, solver_cfg, x0,
+                            x_ref=x_ref)
+            summary = {
+                "problem": problem.name,
+                "converged": result.converged,
+                "iterations": result.iterations,
+                "residual": result.residual,
+                "wall_time_s": time.perf_counter() - started,
+                "sum_err0": result.sum_err0,
+                "sum_lagged_errors": result.sum_lagged_errors,
+                "audits": {},
+            }
+            if problem.objective is not None:
+                summary["objective"] = problem.objective(result.x)
+
+            rows = [mu_row(schedule, problem.weights, n)
+                    for n in range(min(result.iterations + 1, 200))]
+            summary["audits"]["concentrating"] = bool(
+                check_concentrating(rows, schedule.K).passed)
+            # the covering verdict describes the horizon the run visited
+            summary["audits"]["covering"] = validate_covering(
+                schedule, max(result.iterations, schedule.K)) is None
+            if ref is not None:
+                # distances to an unconverged reference say nothing about
+                # Fejer monotonicity, so such a reference fails the audit
+                summary["reference_converged"] = ref.converged
+                summary["audits"]["fejer"] = ref.converged and bool(
+                    fejer_audit(result.trace, x_ref, problem.weights,
+                                schedule.K).passed)
     except CoveringError as exc:
         return EXIT_COVERING, {"error": str(exc)}
     except NonFiniteError as exc:
         return EXIT_DIVERGED, {"error": str(exc)}
-
-    summary = {
-        "problem": problem.name,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "wall_time_s": time.perf_counter() - started,
-        "sum_err0": result.sum_err0,
-        "sum_lagged_errors": result.sum_lagged_errors,
-        "audits": {},
-    }
-    if problem.objective is not None:
-        summary["objective"] = problem.objective(result.x)
-
-    rows = [mu_row(schedule, problem.weights, n)
-            for n in range(min(result.iterations + 1, 200))]
-    summary["audits"]["concentrating"] = bool(
-        check_concentrating(rows, schedule.K).passed)
-    # the covering verdict describes the horizon the run actually visited
-    summary["audits"]["covering"] = validate_covering(
-        schedule, max(result.iterations, schedule.K)) is None
-    if ref is not None:
-        # distances to an unconverged reference say nothing about Fejer
-        # monotonicity, so such a reference fails the audit
-        summary["reference_converged"] = ref.converged
-        summary["audits"]["fejer"] = ref.converged and bool(
-            fejer_audit(result.trace, x_ref, problem.weights, schedule.K).passed)
+    except FloatingPointError as exc:
+        return EXIT_DIVERGED, {"error": f"floating-point {exc}"}
 
     if trace_out is None:
         trace_out = output_cfg.get("trace")

@@ -43,10 +43,6 @@ def as_int(value, name):
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def inner(x, y):
-    return float(np.dot(x, y))
-
-
 def norm(x):
     """Euclidean norm of a 1-D float array, as ``np.linalg.norm`` computes
     it for one (the square root of ``x.dot(x)``) without its dispatch."""
@@ -130,10 +126,14 @@ def _twosum_tree(rows, err):
 
 
 def check_weights(weights, tol=1e-12):
-    """Validate strictly positive weights summing to one, return as array."""
+    """Validate finite, strictly positive weights summing to one, return as
+    array."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a nonempty 1-D sequence")
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise ValueError(f"weights must be finite, got {w[~finite][0]}")
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
     if abs(float(w.sum()) - 1.0) > tol:

@@ -303,8 +303,8 @@ def _square_loss_grads(A, eta):
 def lasso_problem(rows, targets, reg, gamma=None, weights=None):
     """l1-regularized least squares: alpha ||x||_1 + sum_i w_i (<x, a_i> - eta_i)^2."""
     A, eta, sq_norms = _rows_and_targets(rows, targets, "target")
-    if reg <= 0:
-        raise ValueError("l1 weight must be positive")
+    if not 0 < reg < np.inf:
+        raise ValueError(f"l1 weight must be positive and finite, got {reg!r}")
     m, dim = A.shape
     betas = 1.0 / (2.0 * sq_norms)
     w = _resolve_weights(weights, m)
@@ -342,8 +342,8 @@ def logistic_problem(rows, labels, reg, gamma=None, weights=None):
     A, eta, sq_norms = _rows_and_targets(rows, labels, "label")
     if not set(np.unique(eta)) <= {0.0, 1.0}:
         raise ValueError("labels must be 0 or 1")
-    if reg <= 0:
-        raise ValueError("l1 weight must be positive")
+    if not 0 < reg < np.inf:
+        raise ValueError(f"l1 weight must be positive and finite, got {reg!r}")
     m, dim = A.shape
     betas = 4.0 / sq_norms
     w = _resolve_weights(weights, m)

@@ -234,6 +234,8 @@ class SolverConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.max_iters < 0 or self.check_every < 1:
             raise ValueError("max_iters must be >= 0 and check_every >= 1")
+        if math.isnan(self.tol_residual):
+            raise ValueError("tol_residual must be a number, not NaN")
 
 
 @dataclass(slots=True)
@@ -262,39 +264,43 @@ class SolverResult:
     sum_err0: float = 0.0
     sum_lagged_errors: float = 0.0
 
-    @property
-    def iterates(self):
-        return [rec.x for rec in self.trace]
-
 
 # ---------------------------------------------------------------------------
 # operator families
 
-def _as_t0_family(t0):
+def _families(t0, ts, m, epsilon):
+    """``t0f(n)`` and ``tf(i, n)``: T_{0,n} and T_{i,n}, each admissible,
+    i.e. declaring alpha < 1/(1+epsilon). A fixed T0 and a sequence of
+    operators are checked once here, a family's member at every call."""
+    limit = 1.0 / (1.0 + epsilon)
+
+    def checked(op):
+        if op.alpha >= limit:
+            raise ValueError(
+                f"operator {op.name!r} declares alpha={op.alpha}, which is "
+                f"not < 1/(1+epsilon) = {limit} for epsilon={epsilon}")
+        return op
+
     if isinstance(t0, AveragedOp):
-        return lambda n: t0
-    if callable(t0):
-        return t0
-    raise TypeError("t0 must be an AveragedOp or a callable n -> AveragedOp")
-
-
-def _as_t_family(ts, m):
+        checked(t0)
+        t0f = lambda n: t0
+    elif callable(t0):
+        t0f = lambda n: checked(t0(n))
+    else:
+        raise TypeError("t0 must be an AveragedOp or a callable n -> AveragedOp")
     if isinstance(ts, (list, tuple)):
         ops = list(ts)
         if len(ops) != m:
             raise ValueError(f"expected {m} operators, got {len(ops)}")
-        return lambda i, n: ops[i - 1]
-    if callable(ts):
-        return ts
-    raise TypeError("ts must be a sequence of AveragedOp or a callable (i, n) -> AveragedOp")
-
-
-def _check_alpha(op, limit, epsilon):
-    if op.alpha >= limit:
-        raise ValueError(
-            f"operator {op.name!r} declares alpha={op.alpha}, which is not "
-            f"< 1/(1+epsilon) = {limit} for epsilon={epsilon}"
-        )
+        for op in ops:
+            checked(op)
+        tf = lambda i, n: ops[i - 1]
+    elif callable(ts):
+        tf = lambda i, n: checked(ts(i, n))
+    else:
+        raise TypeError("ts must be a sequence of AveragedOp or a callable "
+                        "(i, n) -> AveragedOp")
+    return t0f, tf
 
 
 def _residual(x, t0, inner_ops, w):
@@ -320,21 +326,24 @@ def fixed_point_residual(x, t0, ts, weights):
 _ERROR_WINDOW_BYTES = 1 << 17
 
 
-def _error_window(model, schedule, idx, start, stop, dim):
+def _error_window(model, schedule, block, start, stop, dim):
     """The injected errors of iterations start, start+1, ..., drawn in one
-    ``model.error`` call, with their row norms.
+    ``model.error`` call.
 
     Iteration k gets the rows [0, *sorted(I_k)] at step k, row 0 being
-    e_{0,k}; ``idx`` is iteration start's ``Block.idx``. The window ends
-    before ``stop`` (the iteration cap), before its rows would pass
+    e_{0,k}; ``block`` is iteration start's. The window ends before
+    ``stop`` (the iteration cap), before its rows would pass
     ``_ERROR_WINDOW_BYTES`` and before a block the schedule rejects as
     corrupt, whose CoveringError the loop then raises at its own n;
-    iteration start is always in it. Returns the rows, their norms and the
-    first row of each iteration, with one more entry for the end.
+    iteration start is always in it. Returns one ``(block, rows,
+    row_norms)`` entry per iteration, the last iteration first. A block
+    fetched past the row bound comes first, with None for its rows: its
+    iteration starts the next window. So each block is fetched once.
     """
     max_rows = _ERROR_WINDOW_BYTES // (8 * dim)
-    indices = [0, *(idx + 1).tolist()]
-    starts = [0, len(indices)]
+    blocks = [block]
+    indices = [0, *(block.idx + 1).tolist()]
+    entries = []
     for k in range(start + 1, stop):
         try:
             block = schedule.block(k)
@@ -342,13 +351,19 @@ def _error_window(model, schedule, idx, start, stop, dim):
             # a corrupt block belongs to iteration k, which may never run
             break
         if len(indices) + 1 + len(block) > max_rows:
+            entries.append((block, None, None))
             break
+        blocks.append(block)
         indices += [0, *(block.idx + 1).tolist()]
-        starts.append(len(indices))
-    steps = np.repeat(np.arange(start, start + len(starts) - 1),
-                      np.diff(starts))
+    sizes = [1 + len(b) for b in blocks]
+    steps = np.repeat(np.arange(start, start + len(blocks)), sizes)
     errs = model.error(np.array(indices), steps, dim)
-    return errs, row_norms(errs), starts
+    norms = row_norms(errs)
+    end = errs.shape[0]
+    for b, size in zip(blocks[::-1], sizes[::-1]):
+        entries.append((b, errs[end - size:end], norms[end - size:end]))
+        end -= size
+    return entries
 
 
 def run(t0, ts, cfg, x0, x_ref=None):
@@ -373,18 +388,9 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
     dim = x.size
     if x_ref is not None:
         x_ref = as_point(x_ref, dim=dim)
-    t0f = _as_t0_family(t0)
-    tf = _as_t_family(ts, m)
-    limit = 1.0 / (1.0 + cfg.epsilon)
-    # fixed operators are checked once here, families at every iteration
-    t0_fixed = isinstance(t0, AveragedOp)
-    if t0_fixed:
-        _check_alpha(t0, limit, cfg.epsilon)
+    t0f, tf = _families(t0, ts, m, cfg.epsilon)
     # autonomous operators ignore n, so the check needs no lag lookup
     autonomous = isinstance(ts, (list, tuple))
-    if autonomous:
-        for op in ts:
-            _check_alpha(op, limit, cfg.epsilon)
     # row-structured operators (a RowStack) evaluate a block in one call
     eval_block = getattr(ts, "eval_block", None) if autonomous else None
 
@@ -395,22 +401,22 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         if tbuf.shape != (m, dim):
             raise ValueError(f"t_init must provide {m} vectors of length {dim}")
     err_norms = np.zeros(m)
-    window_end = 0
+    # (block, error rows, row norms) of the fetched iterations still to run
+    pending = []
     if economical:
         z = w @ tbuf
 
     trace = []
     sum_err0 = 0.0
     sum_lagged = 0.0
-    converged = False
-    final_residual = None
     # last[i-1]: latest step whose block activated i, -1 before any; it
     # serves the lagged stopping check and the on-the-fly covering test
     last = np.full(m, -1)
     n = 0
     while True:
         at_cap = n >= cfg.max_iters
-        block = schedule.block(n)
+        block, errs, norms = (pending.pop() if pending
+                              else (schedule.block(n), None, None))
         residual = None
         if at_cap or n % cfg.check_every == 0:
             if autonomous:
@@ -418,17 +424,15 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
             else:
                 # c(i, n): last activation in the window {n-K+1, ..., n},
                 # block n included; n itself before the first activation
-                lo = max(0, n - K + 1)
-                check_ops = [tf(i, n if i in block or k < lo else k)
+                oldest = max(0, n - K + 1)
+                check_ops = [tf(i, n if i in block or k < oldest else k)
                              for i, k in enumerate(last.tolist(), 1)]
             residual = _residual(x, t0f(n), check_ops, w)
-        dist = norm(x - x_ref) if x_ref is not None else None
-        if residual is not None and residual <= cfg.tol_residual:
-            converged = True
+        converged = residual is not None and residual <= cfg.tol_residual
+        rec = TraceRecord(n=n, x=x.copy(), residual=residual,
+                          dist_ref=norm(x - x_ref) if x_ref is not None else None)
+        trace.append(rec)
         if converged or at_cap:
-            final_residual = residual
-            trace.append(TraceRecord(n=n, x=x.copy(), residual=residual,
-                                     dist_ref=dist))
             break
 
         idx = block.idx
@@ -442,23 +446,17 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         if eval_block is not None:
             outs = eval_block(idx, x)
         else:
-            ops = [tf(i, n) for i in (idx + 1).tolist()]
-            if not autonomous:
-                for op in ops:
-                    _check_alpha(op, limit, cfg.epsilon)
-            outs = [apply(op, x) for op in ops]
+            outs = [apply(tf(i, n), x) for i in (idx + 1).tolist()]
         if cfg.error_model is None:
             new = outs
         else:
-            if n == window_end:
-                window_errs, window_norms, starts = _error_window(
-                    cfg.error_model, schedule, idx, n, cfg.max_iters, dim)
-                window_start, window_end = n, n + len(starts) - 1
+            if errs is None:
+                pending = _error_window(cfg.error_model, schedule, block, n,
+                                        cfg.max_iters, dim)
+                _, errs, norms = pending.pop()
             # row 0 is e_{0,n}, the others e_{i,n} for the active i
-            lo, hi = starts[n - window_start], starts[n - window_start + 1]
-            errs = window_errs[lo:hi]
             new = outs + errs[1:]
-            err_norms[idx] = window_norms[lo + 1:hi]
+            err_norms[idx] = norms[1:]
         # the block's new rows in the layout a gather of tbuf[idx] has, so
         # the economical update below need not gather them back
         new = np.ascontiguousarray(new, dtype=float)
@@ -470,40 +468,30 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         else:
             mean = w @ tbuf
 
-        t0n = t0f(n)
-        if not t0_fixed:
-            _check_alpha(t0n, limit, cfg.epsilon)
-        x_next = apply(t0n, mean)
-        err0 = errsum = 0.0
+        x_next = apply(t0f(n), mean)
+        rec.err0 = rec.errsum = 0.0
         if cfg.error_model is not None:
             x_next = x_next + errs[0]
-            err0 = float(window_norms[lo])
-            errsum = float(err_norms.sum())
+            rec.err0 = float(norms[0])
+            rec.errsum = float(err_norms.sum())
         if not np.isfinite(x_next).all():
             raise NonFiniteError(f"iterate became non-finite at n={n}")
 
         if n >= K - 1:
-            sum_err0 += err0
-            sum_lagged += errsum
-        trace.append(TraceRecord(
-            n=n,
-            x=x.copy(),
-            block=block,
-            residual=residual,
-            step=norm(x_next - x),
-            err0=err0,
-            errsum=errsum,
-            dist_ref=dist,
-            t_buffer=tbuf.copy() if cfg.record_buffers else None,
-        ))
+            sum_err0 += rec.err0
+            sum_lagged += rec.errsum
+        rec.block = block
+        rec.step = norm(x_next - x)
+        if cfg.record_buffers:
+            rec.t_buffer = tbuf.copy()
         x = x_next
         n += 1
 
     return SolverResult(
         x=x,
         converged=converged,
-        iterations=trace[-1].n,
-        residual=final_residual,
+        iterations=n,
+        residual=residual,
         trace=trace,
         sum_err0=sum_err0,
         sum_lagged_errors=sum_lagged,

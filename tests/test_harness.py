@@ -1,18 +1,23 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from blocksplit import cli
+from blocksplit.calculus import Hyperplane, projector_op
 from blocksplit.harness import (ConfigError, EXIT_COVERING, EXIT_CONFIG,
-                                EXIT_OK, build_problem_from_config,
+                                EXIT_DIVERGED, EXIT_OK,
+                                build_problem_from_config,
                                 direct_mann_iteration, l1_optimality_residual,
                                 load_data_csv, oracle_least_squares,
                                 oracle_prox_grad_reference, read_trace_csv,
-                                replay_fejer_from_csv, run_experiment,
+                                replay_fejer_from_csv,
+                                replay_linear_rate_from_csv, run_experiment,
                                 synthetic_regression, write_trace_csv)
+from blocksplit.operators import scaling_op
 from blocksplit.problems import build_prox_grad, lasso_problem, logistic_problem
-from blocksplit.schedules import make_full
+from blocksplit.schedules import make_cyclic, make_full
 from blocksplit.solver import SolverConfig, run
 
 
@@ -340,6 +345,18 @@ class TestCLI:
         assert code == EXIT_CONFIG
         assert err.startswith("error: errors: ") and message in err
 
+    @pytest.mark.parametrize("c", [1e155, 1e200])
+    def test_solve_overflowing_errors_diverge(self, tmp_path, capsys, c):
+        # errors this large overflow the squared norms: one error line and
+        # exit 4, not numpy warnings and Infinity in the summary
+        cfg = lasso_config(tmp_path, errors={"c": c, "p": 1.5})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = self.solve_error(tmp_path, capsys, cfg)
+        assert code == EXIT_DIVERGED
+        assert err == "error: floating-point overflow encountered in matmul\n"
+        assert not [w for w in caught if w.category is RuntimeWarning]
+
     @pytest.mark.parametrize("edit, message", [
         (lambda cfg: [cfg], "config must be a JSON object, got list"),
         (lambda cfg: "lasso", "config must be a JSON object, got str"),
@@ -442,13 +459,22 @@ class TestCLI:
         ("problem", {"gamma": True}, "problem.gamma must be a number, got True"),
         ("problem", {"gamma": "0.5"},
          "problem.gamma must be a number, got '0.5'"),
+        ("problem", {"l1_weight": float("nan")},
+         "l1 weight must be positive and finite, got nan"),
+        ("problem", {"l1_weight": float("inf")},
+         "l1 weight must be positive and finite, got inf"),
+        ("problem", {"weights": [float("nan")] + [0.2] * 5},
+         "weights must be finite, got nan"),
+        ("solver", {"tol_residual": float("nan")},
+         "tol_residual must be a number, not NaN"),
     ], ids=["economical-string", "fejer-string", "m-fraction", "K-fraction",
             "block-size-fraction", "seed-bool", "max-iters-fraction",
             "check-every-bool", "tol-residual-string", "epsilon-string",
             "blocks-fraction", "blocks-bool", "errors-c-bool",
             "errors-c-string", "errors-p-bool", "errors-p-null",
             "l1-weight-bool", "l1-weight-string", "gamma-bool",
-            "gamma-string"])
+            "gamma-string", "l1-weight-nan", "l1-weight-inf", "weights-nan",
+            "tol-residual-nan"])
     def test_solve_mistyped_scalar(self, tmp_path, capsys, section, patch,
                                    message):
         cfg = lasso_config(tmp_path)
@@ -599,3 +625,46 @@ class TestCLI:
         path.write_text("\n".join(lines) + "\n")
         assert cli.main(["audit", "--trace", str(path), "--weights", weights,
                          "--K", "1"]) == 1
+
+    def axis_contraction_trace(self, path, x_ref=(0.0, 0.0)):
+        # T0 = x/2 after two axis projections (Lipschitz 1 each), weights
+        # 1/2: rho = 0.5 * (0.5 * 1 + 0.5 * 1) = 0.5
+        ts = [projector_op(Hyperplane([0.0, 1.0], 0.0)),
+              projector_op(Hyperplane([1.0, 0.0], 0.0))]
+        cfg = SolverConfig(weights=[0.5, 0.5], schedule=make_cyclic(2, 1),
+                           max_iters=30, tol_residual=-1.0, check_every=1)
+        res = run(scaling_op(2, 0.5), ts, cfg, [1.0, 1.0], x_ref=x_ref)
+        write_trace_csv(path, res.trace)
+
+    def audit_linear_rate(self, path, capsys):
+        code = cli.main(["audit", "--trace", str(path), "--weights",
+                         "0.5,0.5", "--K", "2", "--rho0", "0.5", "--rhos",
+                         "1,1"])
+        return code, capsys.readouterr().out
+
+    def test_audit_linear_rate_pass_and_fail(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        self.axis_contraction_trace(path)
+        code, out = self.audit_linear_rate(path, capsys)
+        assert code == 0
+        assert "linear-rate: pass" in out
+        assert replay_linear_rate_from_csv(path, 0.5, [1.0, 1.0], [0.5, 0.5],
+                                           2).first_violation_n is None
+        # d_3 is an eighth of its envelope, d_0 and d_1 set the envelope
+        lines = path.read_text().splitlines()
+        parts = lines[4].split(",")
+        parts[-1] = repr(float(parts[-1]) * 10.0)
+        lines[4] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        code, out = self.audit_linear_rate(path, capsys)
+        assert code == 1
+        assert "linear-rate: FAIL" in out
+        report = replay_linear_rate_from_csv(path, 0.5, [1.0, 1.0],
+                                             [0.5, 0.5], 2)
+        assert not report.passed and report.first_violation_n == 3
+
+    def test_linear_rate_replay_needs_dist_ref(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        self.axis_contraction_trace(path, x_ref=None)
+        with pytest.raises(ConfigError, match="no dist_ref column"):
+            replay_linear_rate_from_csv(path, 0.5, [1.0, 1.0], [0.5, 0.5], 2)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from blocksplit import operators
 from blocksplit.calculus import Ball, Box, Halfspace, Hyperplane, projector_op
 from blocksplit.operators import (AveragedOp, NonFiniteError, apply,
-                                  certify_averaged, compose,
+                                  certify_averaged, check_weights, compose,
                                   convex_combination, identity_op,
                                   kahan_weighted_sum, norm, relax, row_norms,
                                   scaling_op)
@@ -202,6 +202,14 @@ def test_catalog_certificates():
     for op in catalog:
         cert = certify_averaged(op, sample_count=400, seed=5)
         assert cert.passed, (op.name, cert.max_violation)
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 0.5, 0.5], [0.5, 0.5, np.nan],
+                                     [np.inf, 0.5, 0.5]],
+                         ids=["nan-first", "nan-last", "inf"])
+def test_check_weights_refuses_non_finite(weights):
+    with pytest.raises(ValueError, match="weights must be finite"):
+        check_weights(weights)
 
 
 def test_kahan_weighted_sum_matches_fsum():

@@ -259,6 +259,13 @@ class TestLasso:
         with pytest.raises(ValueError):
             lasso_problem(np.ones((3, 2)), np.ones(3), reg=0.0)
 
+    @pytest.mark.parametrize("builder", [lasso_problem, logistic_problem])
+    @pytest.mark.parametrize("reg", [np.nan, np.inf, -np.inf, -0.1, 0.0])
+    def test_l1_weight_must_be_positive_and_finite(self, builder, reg):
+        with pytest.raises(ValueError, match="l1 weight must be positive and "
+                                             "finite"):
+            builder(np.ones((2, 2)), [0.0, 1.0], reg=reg)
+
 
 class TestLogistic:
     def test_matches_reference_objective(self):

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from blocksplit import solver
 from blocksplit.calculus import Ball, Halfspace, Hyperplane, projector_op
 from blocksplit.harness import direct_mann_iteration, synthetic_regression
 from blocksplit.operators import (AveragedOp, NonFiniteError, apply,
@@ -85,6 +86,49 @@ class TestRunBasics:
         with pytest.raises(ValueError, match="declares alpha=1.0"):
             run(t0, ts, cfg, [0.0])
         assert max(asked) == 3
+
+    def test_t0_family_checked_at_the_final_check(self):
+        # max_iters=0: T_{0,0} is only evaluated by the stopping check
+        cfg = SolverConfig(weights=[1.0], schedule=make_full(1), max_iters=0)
+        with pytest.raises(ValueError, match="declares alpha=1.0"):
+            run(lambda n: identity_op(1, alpha=1.0), [identity_op(1)], cfg,
+                [0.0])
+
+    def test_ts_family_checked_in_the_stopping_check(self):
+        # T_{2,0} is inadmissible; the update at n=0 activates only 1 and the
+        # check at n=1 asks for T_{2,1}, so only the check at n=0 sees it
+        asked = []
+
+        def family(i, n):
+            asked.append((i, n))
+            op = AXIS_X if i == 1 else AXIS_Y
+            if (i, n) == (2, 0):
+                return AveragedOp(op.fn, dim=2, alpha=1.0, name="T_2,0")
+            return op
+
+        cfg = axis_contraction_cfg(max_iters=1)
+        with pytest.raises(ValueError, match="'T_2,0' declares alpha=1.0"):
+            run(scaling_op(2, 0.5), family, cfg, [1.0, 1.0])
+        assert asked[-1] == (2, 0)
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tol_residual .*NaN"):
+            SolverConfig(weights=[1.0], schedule=make_full(1),
+                         tol_residual=float("nan"))
+
+    def test_nonfinite_error_row_detected(self):
+        class InfiniteOuterError:
+            def error(self, indices, steps, dim):
+                out = np.zeros((len(indices), dim))
+                out[0] = np.inf
+                return out
+
+        cfg = SolverConfig(weights=[0.5, 0.5], schedule=make_cyclic(2, 1),
+                           max_iters=10, tol_residual=-1.0,
+                           error_model=InfiniteOuterError())
+        with pytest.raises(NonFiniteError,
+                           match=re.escape("iterate became non-finite at n=0")):
+            run(scaling_op(2, 0.5), [AXIS_X, AXIS_Y], cfg, [1.0, 1.0])
 
     def test_nonfinite_iterate_detected(self):
         bomb = AveragedOp(lambda x: np.full_like(x, np.inf), dim=1, alpha=0.4)
@@ -295,6 +339,37 @@ class TestErrorWindowLookAhead:
     def test_run_reaching_the_empty_block_raises_there(self):
         with pytest.raises(CoveringError, match=f"empty block at n={self.N}$"):
             self.solve(-1.0, 1000)
+
+    @pytest.mark.parametrize("runner", [run, run_economical])
+    @pytest.mark.parametrize("tol, max_iters", [(-1.0, 40), (1e-3, 400)],
+                             ids=["capped", "converges"])
+    def test_each_block_fetched_once(self, monkeypatch, runner, tol,
+                                     max_iters):
+        # windows of 15 error rows, a few iterations each, so the run
+        # spans many windows and ends some of them at the row bound
+        fetched = []
+        inner = make_quasicyclic_random(6, 3, seed=5)
+
+        def block_fn(n):
+            fetched.append(n)
+            return inner.block(n)
+
+        monkeypatch.setattr(solver, "_ERROR_WINDOW_BYTES", 8 * 2 * 3 * 5)
+        schedule = BlockSchedule(6, 3, block_fn, name="counted")
+        A, eta, _ = synthetic_regression(2, 6, seed=3)
+        prob = lasso_problem(A, eta, reg=0.05)
+        cfg = SolverConfig(weights=prob.weights, schedule=schedule,
+                           max_iters=max_iters, tol_residual=tol,
+                           check_every=1,
+                           error_model=SeededDecayErrors(1e-3, seed=2))
+        res = runner(prob.t0, prob.ts, cfg, np.zeros(2))
+        assert res.converged == (tol > 0) and res.iterations > 10
+        # each n once, in order; a converged run may have fetched the rest
+        # of its last window, a capped one stops at the cap
+        assert fetched == list(range(len(fetched)))
+        assert res.iterations < len(fetched) < res.iterations + 6
+        if not res.converged:
+            assert len(fetched) == max_iters + 1
 
 
 class TestFejerAudit:
