@@ -8,8 +8,7 @@ import json
 import sys
 
 from .harness import (ConfigError, EXIT_CONFIG, EXIT_COVERING, config_section,
-                      load_config, replay_fejer_from_csv,
-                      replay_linear_rate_from_csv, run_experiment)
+                      load_config, replay_audits_from_csv, run_experiment)
 from .schedules import check_concentrating, mu_row, schedule_from_spec, validate_covering
 
 
@@ -109,36 +108,25 @@ def _cmd_schedule_check(args):
 
 
 def _cmd_audit(args):
-    failed = False
     try:
-        weights = [float(v) for v in args.weights.split(",")]
-        rep = replay_fejer_from_csv(args.trace, weights, args.K)
-        print(f"fejer: {'pass' if rep.passed else 'FAIL'} "
-              f"(max violation {rep.max_violation:.3e}, slack {rep.slack:.3e}, "
-              f"{rep.n_checked} iterations)")
-        failed |= not rep.passed
-        if args.rho0 is not None and args.rhos:
-            rhos = [float(v) for v in args.rhos.split(",")]
-            rep = replay_linear_rate_from_csv(args.trace, args.rho0, rhos,
-                                              weights, args.K)
-            print(f"linear-rate: {'pass' if rep.passed else 'FAIL'} "
-                  f"(max violation {rep.max_violation:.3e})")
-            failed |= not rep.passed
+        weights, rhos = (None if v is None else [float(x) for x in v.split(",")]
+                         for v in (args.weights, args.rhos))
+        reports = replay_audits_from_csv(args.trace, weights, args.K,
+                                         rho0=args.rho0, rhos=rhos)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return 1 if failed else 0
+    for rep in reports:
+        print(f"{rep.label}: {'pass' if rep else 'FAIL'} (max violation "
+              f"{rep.max_violation:.3e}, slack {rep.slack:.3e}, "
+              f"{rep.n_checked} iterations)")
+    return 0 if all(reports) else 1
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.command == "solve":
-        code = _cmd_solve(args)
-    elif args.command == "schedule-check":
-        code = _cmd_schedule_check(args)
-    else:
-        code = _cmd_audit(args)
-    return code
+    return {"solve": _cmd_solve, "schedule-check": _cmd_schedule_check,
+            "audit": _cmd_audit}[args.command](args)
 
 
 if __name__ == "__main__":

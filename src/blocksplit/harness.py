@@ -21,8 +21,8 @@ from .schedules import (CoveringError, as_block, check_concentrating,
                         mu_row, schedule_from_spec, make_full,
                         validate_covering)
 from .solver import (SeededDecayErrors, SolverConfig, fejer_audit,
-                     fejer_audit_arrays, linear_rate_audit_arrays, run,
-                     run_economical)
+                     fejer_audit_arrays, linear_rate_audit_arrays,
+                     require_error_free, run, run_economical)
 
 
 class ConfigError(ValueError):
@@ -181,45 +181,44 @@ def read_trace_csv(path):
         raise ConfigError(f"cannot read trace: {exc}") from exc
     if not text or text[0] != TRACE_HEADER:
         raise ConfigError(f"{path}: not a blocksplit trace (bad header)")
-    out = {"n": [], "residual": [], "step": [], "err0": [], "errsum": [],
-           "block": [], "dist_ref": []}
-    for line in text[1:]:
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ConfigError(f"{path}: malformed trace line {line!r}")
-        n, residual, step, err0, errsum, block, dist = parts
-        out["n"].append(int(n))
-        for key, raw in (("residual", residual), ("step", step),
-                         ("err0", err0), ("errsum", errsum),
-                         ("dist_ref", dist)):
-            out[key].append(float(raw) if raw else None)
-        out["block"].append(frozenset(int(i) for i in block.split("|"))
-                            if block else None)
+    out = {key: [] for key in TRACE_HEADER.split(",")}
+    for k, line in enumerate(text[1:], 2):
+        try:
+            n, residual, step, err0, errsum, block, dist = line.split(",")
+            out["n"].append(int(n))
+            for key, raw in (("residual", residual), ("step", step),
+                             ("err0", err0), ("errsum", errsum),
+                             ("dist_ref", dist)):
+                out[key].append(float(raw) if raw else None)
+            out["block"].append(frozenset(int(i) for i in block.split("|"))
+                                if block else None)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {k}: malformed trace line "
+                              f"{line!r} ({exc})") from None
     return out
 
 
-def replay_fejer_from_csv(path, weights, K, slack=None):
-    """Re-run the distance-inequality audit from a persisted trace.
+def replay_audits_from_csv(path, weights, K, rho0=None, rhos=None):
+    """The reports of the distance-inequality audit and, when ``rho0`` and
+    ``rhos`` are given, the linear-rate audit, from one read of a trace.
 
     Requires the trace to carry the dist_ref column, i.e. the run was given a
-    reference solution.
+    reference solution; the linear-rate audit also needs an error-free run.
     """
+    if (rho0 is None) != (rhos is None):
+        raise ConfigError("rho0 and rhos go together: give both or neither")
     data = read_trace_csv(path)
     dists = data["dist_ref"]
     if any(d is None for d in dists):
         raise ConfigError("trace has no dist_ref column; rerun with a reference")
     err0s = [v or 0.0 for v in data["err0"]]
     errsums = [v or 0.0 for v in data["errsum"]]
-    return fejer_audit_arrays(dists, err0s, errsums, data["block"], weights, K,
-                              slack)
-
-
-def replay_linear_rate_from_csv(path, rho0, rhos, weights, K, slack=None):
-    data = read_trace_csv(path)
-    dists = data["dist_ref"]
-    if any(d is None for d in dists):
-        raise ConfigError("trace has no dist_ref column; rerun with a reference")
-    return linear_rate_audit_arrays(dists, rho0, rhos, weights, K, slack)
+    reports = [fejer_audit_arrays(dists, err0s, errsums, data["block"],
+                                  weights, K)]
+    if rho0 is not None:
+        require_error_free(err0s + errsums)
+        reports.append(linear_rate_audit_arrays(dists, rho0, rhos, weights, K))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +453,8 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
                 # distances to an unconverged reference say nothing about
                 # Fejer monotonicity, so such a reference fails the audit
                 summary["reference_converged"] = ref.converged
-                summary["audits"]["fejer"] = ref.converged and bool(
-                    fejer_audit(result.trace, x_ref, problem.weights,
-                                schedule.K).passed)
+                summary["audits"]["fejer"] = ref.converged and fejer_audit(
+                    result.trace, x_ref, problem.weights, schedule.K).passed
     except CoveringError as exc:
         return EXIT_COVERING, {"error": str(exc)}
     except NonFiniteError as exc:

@@ -514,9 +514,35 @@ class AuditReport:
         return self.passed
 
 
-def _check_K(K):
+def _audit_weights(weights, K):
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
+    return check_weights(weights)
+
+
+def _check_counts(count, of, **series):
+    for name, values in series.items():
+        if len(values) != count:
+            raise ValueError(f"{name} has {len(values)} entries but {of} has "
+                             f"{count}")
+
+
+def _check_finite(**series):
+    """Refuse a NaN or infinite entry by its n: no slack tells it from a pass."""
+    for name, values in series.items():
+        bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=float)))
+        if bad.size:
+            raise ValueError(f"{name} at n={bad[0]} is not finite: "
+                             f"{values[bad[0]]}")
+
+
+def _verdict(violations, slack, first_n, label):
+    """violations[k] is at n = first_n + k; each must be <= slack (NaN is not)."""
+    v = np.asarray(violations, dtype=float)
+    bad = np.flatnonzero(~(v <= slack))
+    return AuditReport(bool(v.size) and not bad.size,
+                       float(v.max(initial=-np.inf)), slack,
+                       first_n + int(bad[0]) if bad.size else None, v.size, label)
 
 
 def fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack=None):
@@ -529,20 +555,20 @@ def fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack=None):
     K-window covering condition (CoveringError otherwise). The default
     ``slack`` is 1e-9 * (1 + d_0).
     """
-    _check_K(K)
-    w = check_weights(weights)
+    w = _audit_weights(weights, K)
     dists = np.asarray(dists, dtype=float)
     if dists.size == 0:
         raise ValueError("need at least one recorded iterate")
+    _check_counts(dists.size, "dists", err0s=err0s, errsums=errsums,
+                  blocks=blocks)
+    _check_finite(distance=dists, err0=err0s, errsum=errsums)
     if slack is None:
         slack = 1e-9 * (1.0 + float(dists[0]))
-    total = dists.size
-    max_violation = -np.inf
-    first_bad = None
-    checked = 0
+    violations = np.empty(dists.size - 1)   # d_{n+1} minus its bound
     last = np.full(w.size, -1)
-    for n in range(total - 1):
+    for n in range(dists.size - 1):
         if blocks[n] is None:
+            violations = violations[:n]
             break
         idx = as_block(blocks[n]).idx
         if idx.size and (idx[0] < 0 or idx[-1] >= w.size):
@@ -554,16 +580,8 @@ def fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack=None):
         # accumulate adds left to right, as the builtin sum did
         bound = float(np.add.accumulate(w * dists[last])[-1])
         bound += float(err0s[n]) + float(errsums[n])
-        violation = dists[n + 1] - bound
-        checked += 1
-        if violation > max_violation:
-            max_violation = violation
-        if violation > slack and first_bad is None:
-            first_bad = n
-    passed = checked > 0 and max_violation <= slack
-    return AuditReport(passed=passed, max_violation=float(max_violation),
-                       slack=slack, first_violation_n=first_bad,
-                       n_checked=checked, label="fejer")
+        violations[n] = dists[n + 1] - bound
+    return _verdict(violations[K - 1:], slack, K - 1, "fejer")
 
 
 def fejer_audit(trace, x_ref, weights, K, slack=None):
@@ -580,6 +598,12 @@ def fejer_audit(trace, x_ref, weights, K, slack=None):
     return fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack)
 
 
+def require_error_free(errors):
+    """Refuse a run with injected errors, which the linear envelope omits."""
+    if any(errors):
+        raise ValueError("linear rate audit requires an error-free run")
+
+
 def linear_rate_audit_arrays(dists, rho0, rhos, weights, K, slack=None):
     """Check the geometric envelope implied by declared contraction factors:
 
@@ -588,39 +612,28 @@ def linear_rate_audit_arrays(dists, rho0, rhos, weights, K, slack=None):
     with rho = rho0 * sum_i w_i rho_i, which must be < 1. The default
     ``slack`` is 1e-12 * (1 + max(d_0, ..., d_{K-1})).
     """
-    _check_K(K)
-    w = check_weights(weights)
+    w = _audit_weights(weights, K)
     if rho0 is None or any(r is None for r in rhos):
         raise ValueError("every operator needs a declared Lipschitz constant")
+    _check_counts(w.size, "weights", rhos=rhos)
     rho = float(rho0) * float(np.dot(w, np.asarray(rhos, dtype=float)))
     if not 0.0 < rho < 1.0:
         raise ValueError(f"no linear guarantee: rho = {rho} is not in (0, 1)")
     dists = np.asarray(dists, dtype=float)
+    _check_finite(distance=dists)
     if dists.size < K:
         raise ValueError("need at least K recorded iterates")
     xi_hat = float(dists[:K].max())
     if slack is None:
         slack = 1e-12 * (1.0 + xi_hat)
-    max_violation = -np.inf
-    first_bad = None
-    for n in range(dists.size):
-        envelope = rho ** ((1.0 - K) / K) * xi_hat * rho ** (n / K)
-        violation = dists[n] - envelope
-        if violation > max_violation:
-            max_violation = violation
-        if violation > slack and first_bad is None:
-            first_bad = n
-    return AuditReport(passed=max_violation <= slack,
-                       max_violation=float(max_violation), slack=slack,
-                       first_violation_n=first_bad, n_checked=dists.size,
-                       label="linear-rate")
+    head = rho ** ((1.0 - K) / K) * xi_hat
+    return _verdict([d - head * rho ** (n / K) for n, d in enumerate(dists)],
+                    slack, 0, "linear-rate")
 
 
 def linear_rate_audit(trace, x_ref, rho0, rhos, weights, K, slack=None):
     """Audit an error-free trace against the linear convergence envelope."""
     x_ref = as_point(x_ref)
-    for rec in trace:
-        if rec.err0:
-            raise ValueError("linear rate audit requires an error-free run")
+    require_error_free(rec.err0 or rec.errsum for rec in trace)
     dists = [norm(rec.x - x_ref) for rec in trace]
     return linear_rate_audit_arrays(dists, rho0, rhos, weights, K, slack)

@@ -15,13 +15,16 @@ from hypothesis import example, given, settings, strategies as st
 from blocksplit.harness import (TRACE_HEADER, run_experiment,
                                 synthetic_regression, synthetic_unit_rows,
                                 write_trace_csv)
-from blocksplit.operators import check_weights
+from blocksplit.operators import apply, check_weights
 from blocksplit.problems import least_squares_feasibility
 from blocksplit.schedules import (Block, BlockSchedule, CoveringError,
-                                  lag_identity_check, last_activation,
-                                  make_cyclic, make_explicit,
-                                  make_quasicyclic_random, record_activation)
-from blocksplit.solver import (AuditReport, TraceRecord, fejer_audit_arrays)
+                                  check_concentrating, lag_identity_check,
+                                  last_activation, make_cyclic, make_explicit,
+                                  make_quasicyclic_random, mu_row,
+                                  record_activation, validate_covering)
+from blocksplit.solver import (AuditReport, SeededDecayErrors, SolverConfig,
+                               TraceRecord, fejer_audit_arrays, run,
+                               run_economical)
 
 
 class TestBlock:
@@ -170,6 +173,71 @@ def test_lag_identity_on_running_last_activations(schedule, extra, seed):
             assert last.tolist() == [last_activation(schedule, i, n)
                                      for i in range(1, m + 1)]
             assert lag_identity_check(schedule, weights, n, rng.random(n + 1))
+
+
+@settings(deadline=None, max_examples=50)
+@given(schedule_cases, st.integers(0, 30), st.integers(0, 2**32 - 1))
+@example(make_cyclic(7, 3), 10, 0)
+@example(make_explicit(3, 2, [[1], [2], [3]]), 5, 1)    # violates covering
+def test_mu_rows_are_concentrating_where_windows_are_covered(schedule, extra,
+                                                            seed):
+    """Row n of the induced array sums to 1 exactly when window n is
+    covered, since an index missing from it takes its weight along; every
+    row keeps its mass within depth K-1, with at least min w_i on its
+    diagonal. check_concentrating reports the same three conditions."""
+    K, m = schedule.K, schedule.m
+    raw = np.random.default_rng(seed).random(m) + 0.05
+    weights = raw / raw.sum()
+    last = np.full(m, -1)
+    rows, all_covered = [], True
+    for n in range(K + extra):
+        try:
+            record_activation(last, schedule.block(n).idx, n, K)
+            covered = True
+        except CoveringError:
+            covered = all_covered = False
+        row = mu_row(schedule, weights, n)
+        rows.append(row)
+        assert (abs(row.total() - 1.0) <= 1e-12) == covered
+        assert all(max(0, n - K + 1) <= j <= n for j in row.entries)
+        assert row.diagonal() >= weights.min()
+    report = check_concentrating(rows, K)
+    assert report.sum_ok == all_covered and report.band_ok
+    assert report.diagonal_infimum >= weights.min()
+
+
+@settings(deadline=None, max_examples=40)
+@given(schedule_cases, st.integers(1, 4), st.integers(0, 20),
+       st.integers(0, 2**16), st.booleans())
+@example(make_cyclic(7, 3), 2, 10, 0, False)
+@example(make_explicit(3, 2, [[1], [2], [3]]), 2, 5, 1, True)
+def test_stale_buffer_rows_are_last_activation_outputs(schedule, d, extra,
+                                                       seed, economical):
+    """With record_buffers, row i of the buffer recorded at step n is
+    T_i x_c + e_{i,c}, c being the last step <= n whose block held i, and
+    x_0 while i has not been activated."""
+    m, K = schedule.m, schedule.K
+    prob = least_squares_feasibility(*synthetic_unit_rows(d, m, seed))
+    errors = SeededDecayErrors(0.1, seed=seed)
+    cfg = SolverConfig(weights=prob.weights, schedule=schedule,
+                       max_iters=K + extra, tol_residual=-1.0, check_every=3,
+                       error_model=errors, record_buffers=True)
+    x0 = np.random.default_rng(seed).standard_normal(d)
+    runner = run_economical if economical else run
+    try:
+        trace = runner(prob.t0, prob.ts, cfg, x0).trace
+    except CoveringError:
+        assert validate_covering(schedule, K + extra) is not None
+        return
+    last = [-1] * m
+    for rec in trace[:-1]:
+        for i in rec.block:
+            last[i - 1] = rec.n
+        for i, c in enumerate(last, 1):
+            expected = (x0 if c < 0 else apply(prob.ts[i - 1], trace[c].x)
+                        + errors.error(i, c, d))
+            np.testing.assert_allclose(rec.t_buffer[i - 1], expected,
+                                       rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

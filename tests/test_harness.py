@@ -12,8 +12,7 @@ from blocksplit.harness import (ConfigError, EXIT_COVERING, EXIT_CONFIG,
                                 direct_mann_iteration, l1_optimality_residual,
                                 load_data_csv, oracle_least_squares,
                                 oracle_prox_grad_reference, read_trace_csv,
-                                replay_fejer_from_csv,
-                                replay_linear_rate_from_csv, run_experiment,
+                                replay_audits_from_csv, run_experiment,
                                 synthetic_regression, write_trace_csv)
 from blocksplit.operators import scaling_op
 from blocksplit.problems import build_prox_grad, lasso_problem, logistic_problem
@@ -126,7 +125,7 @@ class TestTraceIO:
         inline = fejer_audit(res.trace, x_ref, prob.weights, K=1)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, res.trace)
-        offline = replay_fejer_from_csv(path, prob.weights, K=1)
+        offline, = replay_audits_from_csv(path, prob.weights, K=1)
         assert inline.passed == offline.passed
         assert inline.max_violation == pytest.approx(offline.max_violation)
 
@@ -191,8 +190,8 @@ class TestRunExperiment:
                            audits={"fejer": True, "reference_iters": 50_000})
         code, summary = run_experiment(cfg, base_dir=tmp_path)
         assert code == EXIT_OK
-        offline = replay_fejer_from_csv(tmp_path / "trace.csv",
-                                        [1 / 6] * 6, K=3)
+        offline, = replay_audits_from_csv(tmp_path / "trace.csv",
+                                          [1 / 6] * 6, K=3)
         assert summary["audits"]["fejer"] == offline.passed
         assert summary["reference_converged"] is True
 
@@ -576,20 +575,65 @@ class TestCLI:
         assert code == EXIT_CONFIG
         assert message in err
 
-    @pytest.mark.parametrize("trace, weights, message", [
-        ("trace.csv", "a,b", "could not convert string to float: 'a'"),
-        ("missing.csv", "0.5,0.5", "cannot read trace"),
-        ("empty.csv", "0.5,0.5", "need at least one recorded iterate"),
-    ], ids=["bad-weights", "missing-trace", "empty-trace"])
-    def test_audit_bad_inputs(self, tmp_path, capsys, trace, weights, message):
+    LINEAR_RATE = ["--rho0", "0.5", "--rhos", "1,1"]
+
+    def write_halving_trace(self, path, edits=()):
+        """A two-operator trace whose distances halve, which passes both
+        audits at K=1 with rho = 0.5; each edit sets one (n, column, value)."""
+        rows = [["0", "1.0", "1.0", "", "", "1|2", "1.0"],
+                ["1", "0.5", "0.5", "", "", "1|2", "0.5"],
+                ["2", "0.25", "", "", "", "", "0.25"]]
+        for n, column, value in edits:
+            rows[n][column] = value
+        path.write_text("\n".join(["n,residual,step,err0,errsum,block,dist_ref"]
+                                  + [",".join(row) for row in rows]) + "\n")
+
+    @pytest.mark.parametrize("trace, weights, edits, argv, message", [
+        ("trace.csv", "a,b", [], [], "could not convert string to float: 'a'"),
+        ("missing.csv", "0.5,0.5", [], [], "cannot read trace"),
+        ("empty.csv", "0.5,0.5", [], [], "need at least one recorded iterate"),
+        ("halving.csv", "0.5,0.5", [(1, 1, "abc")], [],
+         "halving.csv: line 3: malformed trace line '1,abc,0.5,,,1|2,0.5' "
+         "(could not convert string to float: 'abc')"),
+        ("halving.csv", "0.5,0.5", [(0, 5, "1||2")], [],
+         "halving.csv: line 2: malformed trace line '0,1.0,1.0,,,1||2,1.0' "
+         "(invalid literal for int() with base 10: '')"),
+        ("halving.csv", "0.5,0.5", [(1, 6, "nan")], [],
+         "distance at n=1 is not finite: nan"),
+        ("halving.csv", "0.5,0.5", [(0, 6, "inf")], [],
+         "distance at n=0 is not finite: inf"),
+        ("halving.csv", "0.5,0.5", [(0, 3, "0.001"), (1, 3, "0.001")],
+         LINEAR_RATE, "linear rate audit requires an error-free run"),
+        ("halving.csv", "0.5,0.5", [], ["--rho0", "0.5"],
+         "rho0 and rhos go together"),
+        ("halving.csv", "0.5,0.5", [], ["--rhos", "1,1"],
+         "rho0 and rhos go together"),
+        ("halving.csv", "0.5,0.5", [], ["--rho0", "0.5", "--rhos", "1"],
+         "rhos has 1 entries but weights has 2"),
+    ], ids=["bad-weights", "missing-trace", "empty-trace", "bad-float",
+            "empty-block-entry", "nan-distance", "inf-distance-at-0",
+            "noisy-linear-rate", "rho0-alone", "rhos-alone", "rhos-count"])
+    def test_audit_bad_inputs(self, tmp_path, capsys, trace, weights, edits,
+                              argv, message):
         (tmp_path / "trace.csv").write_text("n\n")
         (tmp_path / "empty.csv").write_text(
             "n,residual,step,err0,errsum,block,dist_ref\n")
+        self.write_halving_trace(tmp_path / "halving.csv", edits)
         code, err = self.cli_error(capsys, [
             "audit", "--trace", str(tmp_path / trace), "--weights", weights,
-            "--K", "1"])
+            "--K", "1"] + argv)
         assert code == EXIT_CONFIG
         assert message in err
+
+    def test_audit_halving_trace_passes_both_audits(self, tmp_path, capsys):
+        path = tmp_path / "halving.csv"
+        self.write_halving_trace(path)
+        assert cli.main(["audit", "--trace", str(path), "--weights", "0.5,0.5",
+                         "--K", "1"] + self.LINEAR_RATE) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(" (")[0] for line in out] == [
+            "fejer: pass", "linear-rate: pass"]
+        assert len(replay_audits_from_csv(path, [0.5, 0.5], 1)) == 1
 
     @pytest.mark.parametrize("K", ["0", "-3"])
     def test_audit_nonpositive_K(self, tmp_path, capsys, K):
@@ -648,8 +692,8 @@ class TestCLI:
         code, out = self.audit_linear_rate(path, capsys)
         assert code == 0
         assert "linear-rate: pass" in out
-        assert replay_linear_rate_from_csv(path, 0.5, [1.0, 1.0], [0.5, 0.5],
-                                           2).first_violation_n is None
+        assert replay_audits_from_csv(path, [0.5, 0.5], 2, rho0=0.5,
+                                      rhos=[1.0, 1.0])[1].first_violation_n is None
         # d_3 is an eighth of its envelope, d_0 and d_1 set the envelope
         lines = path.read_text().splitlines()
         parts = lines[4].split(",")
@@ -659,12 +703,13 @@ class TestCLI:
         code, out = self.audit_linear_rate(path, capsys)
         assert code == 1
         assert "linear-rate: FAIL" in out
-        report = replay_linear_rate_from_csv(path, 0.5, [1.0, 1.0],
-                                             [0.5, 0.5], 2)
+        _, report = replay_audits_from_csv(path, [0.5, 0.5], 2, rho0=0.5,
+                                           rhos=[1.0, 1.0])
         assert not report.passed and report.first_violation_n == 3
 
     def test_linear_rate_replay_needs_dist_ref(self, tmp_path):
         path = tmp_path / "trace.csv"
         self.axis_contraction_trace(path, x_ref=None)
         with pytest.raises(ConfigError, match="no dist_ref column"):
-            replay_linear_rate_from_csv(path, 0.5, [1.0, 1.0], [0.5, 0.5], 2)
+            replay_audits_from_csv(path, [0.5, 0.5], 2, rho0=0.5,
+                                   rhos=[1.0, 1.0])

@@ -422,6 +422,47 @@ class TestFejerAudit:
             linear_rate_audit_arrays([1.0, 0.5], 0.5, [1.0, 1.0], [0.5, 0.5],
                                      K=K)
 
+    @pytest.mark.parametrize("column, n, value", [
+        ("dists", 2, np.nan), ("dists", 0, np.inf), ("err0s", 1, np.nan),
+        ("errsums", 2, -np.inf)])
+    def test_non_finite_entry_rejected(self, column, n, value):
+        # an inf d_0 makes the default slack inf, a NaN never exceeds it
+        series = {"dists": [1.0, 0.5, 0.25, 0.125], "err0s": [0.0] * 4,
+                  "errsums": [0.0] * 4}
+        series[column][n] = value
+        name = {"dists": "distance", "err0s": "err0", "errsums": "errsum"}
+        message = re.escape(f"{name[column]} at n={n} is not finite: {value}")
+        blocks = [frozenset({1, 2})] * 3 + [None]
+        with pytest.raises(ValueError, match=message):
+            fejer_audit_arrays(*series.values(), blocks, [0.5, 0.5], K=1)
+        if column == "dists":
+            with pytest.raises(ValueError, match=message):
+                linear_rate_audit_arrays(series["dists"], 0.5, [1.0, 1.0],
+                                         [0.5, 0.5], K=1)
+
+    @pytest.mark.parametrize("column", ["err0s", "errsums", "blocks"])
+    def test_series_of_another_length_rejected(self, column):
+        series = {"dists": [1.0, 0.5, 0.25], "err0s": [0.0] * 3,
+                  "errsums": [0.0] * 3,
+                  "blocks": [frozenset({1, 2})] * 2 + [None]}
+        series[column] = series[column][:2]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{column} has 2 entries but dists has 3")):
+            fejer_audit_arrays(*series.values(), [0.5, 0.5], K=1)
+
+    @pytest.mark.parametrize("d3, passed, first_bad", [
+        (0.25, True, (None, None)), (2.0, False, (2, 3))])
+    def test_verdicts_are_python_bools(self, d3, passed, first_bad):
+        dists = [3.0, 1.0, 0.5, d3]
+        blocks = [frozenset({1, 2})] * 3 + [None]
+        reports = (fejer_audit_arrays(dists, [0.0] * 4, [0.0] * 4, blocks,
+                                      [0.5, 0.5], K=1),
+                   linear_rate_audit_arrays(dists, 0.5, [1.0, 1.0], [0.5, 0.5],
+                                            K=2))
+        assert [rep.passed for rep in reports] == [passed, passed]
+        assert all(type(rep.passed) is bool for rep in reports)
+        assert tuple(rep.first_violation_n for rep in reports) == first_bad
+
     def test_default_slacks(self):
         blocks = [frozenset({1, 2})] * 3 + [None]
         dists = [3.0, 1.0, 0.5, 0.25]
@@ -472,6 +513,11 @@ class TestLinearRateAudit:
         with pytest.raises(ValueError, match="declared"):
             linear_rate_audit(res.trace, [0.0, 0.0], rho0=0.5,
                               rhos=[None, 1.0], weights=[0.5, 0.5], K=2)
+
+    def test_rhos_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "rhos has 1 entries but weights has 2")):
+            linear_rate_audit_arrays([1.0, 0.5], 0.5, [1.0], [0.5, 0.5], K=1)
 
     def test_refuses_noisy_run(self):
         cfg = axis_contraction_cfg(max_iters=10,
