@@ -17,7 +17,7 @@ import numpy as np
 from . import problems
 from .calculus import set_from_spec
 from .operators import NonFiniteError, as_int, as_point, norm
-from .schedules import (CoveringError, as_block, check_concentrating,
+from .schedules import (Block, CoveringError, as_block, check_concentrating,
                         mu_row, schedule_from_spec, make_full,
                         validate_covering)
 from .solver import (SeededDecayErrors, SolverConfig, fejer_audit,
@@ -174,7 +174,8 @@ def write_trace_csv(path, trace):
 
 
 def read_trace_csv(path):
-    """Load a persisted trace into parallel lists keyed by column name."""
+    """Load a persisted trace into parallel lists keyed by column name; each
+    block is read straight into a ``Block``, as the audits take it."""
     try:
         text = Path(path).read_text().strip().splitlines()
     except OSError as exc:
@@ -190,7 +191,7 @@ def read_trace_csv(path):
                              ("err0", err0), ("errsum", errsum),
                              ("dist_ref", dist)):
                 out[key].append(float(raw) if raw else None)
-            out["block"].append(frozenset(int(i) for i in block.split("|"))
+            out["block"].append(Block(map(int, block.split("|")))
                                 if block else None)
         except ValueError as exc:
             raise ConfigError(f"{path}: line {k}: malformed trace line "

@@ -200,10 +200,17 @@ class RowStack(list):
     ``(rows, dim)`` array. The list holds one ``AveragedOp`` per row whose
     body is the kernel on that one-row slice, so the formula exists once.
     A kernel must give every row the same bits in whatever block it is
-    evaluated: compute its dot products as ``(A[idx] * x).sum(axis=1)``, not
-    ``A[idx] @ x``, whose matrix-vector product rounds differently with the
-    number of rows. Then ``eval_block`` agrees exactly with ``apply`` on each
-    member, and a run on the stack equals a run on ``list(stack)``.
+    evaluated, and for a slice as for the same rows as an array: compute
+    its dot products as ``(A[idx] * x).sum(axis=1)``, not ``A[idx] @ x``,
+    whose matrix-vector product rounds differently with the number of rows.
+    Then ``eval_block`` agrees exactly with ``apply`` on each member, and a
+    run on the stack equals a run on ``list(stack)``.
+
+    The solver calls ``kernel`` itself, with a block's ``rows`` (a slice for
+    consecutive rows) at its already finite iterate, and checks only the
+    output's shape. A non-finite row makes the weighted mean it enters
+    non-finite; that mean is validated, and only then is the block re-run
+    through ``eval_block`` so that the error names the row's operator.
     """
 
     def __init__(self, kernel, dim, alphas, names):

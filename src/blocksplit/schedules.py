@@ -37,34 +37,44 @@ class CoveringError(ValueError):
 class Block(frozenset):
     """A block I_n: a frozenset of 1-based operator indices that also carries
     its members as ``idx``, a sorted, read-only array of 0-based ``np.intp``
-    indices built once with the block.
+    indices, and as ``rows``, the same rows as an index: the slice
+    ``slice(idx[0], idx[-1] + 1)`` when the members are consecutive and
+    positive, ``idx`` itself otherwise. Both are built once with the block.
 
     Equality, hashing and membership are frozenset's, so a Block equals the
     plain frozenset of its members; set algebra on it returns plain
-    frozensets. Every layer that indexes with a block (the solver's buffer
-    and gathers, the error draws, the covering and Fejer replays, the trace
-    writer) reads ``idx`` instead of sorting the set again. Members must be
-    integers (ValueError otherwise); their range is the schedule's to check.
+    frozensets. Every layer that indexes with a block reads ``idx`` or
+    ``rows`` instead of sorting the set again. For members in 1..len(a),
+    ``a[blk.rows]`` equals ``a[blk.idx]``, but a slice makes a view where the
+    index array gathers a copy, so the solver's per-iteration reads, writes
+    and row kernel take ``rows``. Members must be integers (ValueError
+    otherwise); their range is the schedule's to check.
     """
 
-    __slots__ = ("idx",)
+    __slots__ = ("idx", "rows")
 
     def __new__(cls, members=()):
         self = super().__new__(cls, members)
-        if self:
-            idx = np.array(sorted(self))
+        if not self:
+            idx = self.rows = np.empty(0, np.intp)
+        else:
+            ordered = sorted(self)
+            idx = np.array(ordered)
             if idx.dtype.kind not in "iu":
                 raise ValueError(f"block members must be integers, got "
                                  f"{sorted(self, key=repr)}")
             idx = (idx - 1).astype(np.intp, copy=False)
-        else:
-            idx = np.empty(0, np.intp)
+            # sorted and distinct, so consecutive exactly when the span is
+            # the size; a start below 1 would wrap differently in a slice
+            lo, hi = int(ordered[0]), int(ordered[-1])
+            self.rows = (slice(lo - 1, hi) if lo >= 1
+                         and hi - lo == len(ordered) - 1 else idx)
         idx.flags.writeable = False
         self.idx = idx
         return self
 
     def __reduce__(self):
-        # rebuild idx from the members, so a copy's idx is read-only too
+        # rebuild idx and rows from the members, so a copy's idx is read-only
         return type(self), (list(self),)
 
 
@@ -244,7 +254,7 @@ def validate_covering(schedule, horizon):
     for n in range(horizon):
         block = schedule.block(n)
         try:
-            record_activation(last, block.idx, n, K)
+            record_activation(last, block.rows, n, K)
         except CoveringError as exc:
             return exc.start, exc.missing
     return None
@@ -270,16 +280,16 @@ def record_activation(last, idx, n, K):
 
     ``last`` is an integer array of length m: ``last[i - 1]`` holds the
     latest step k < n with i in I_k, or -1 when there is none. ``idx`` is
-    I_n as an array of 0-based indices (duplicates are harmless); it is
-    trusted to lie in 0..m-1, since a negative index would wrap silently, so
-    callers check ranges first. The update is ``last[idx] = n`` in place,
-    after which ``last[i - 1]`` equals ``last_activation(schedule, i, n)``
-    for every n >= K-1. From n = K-1 on, an index not activated in the
-    window {n-K+1, ..., n} raises CoveringError with the window's ``start``
-    and the sorted 1-based ``missing`` indices as Python ints. This is the
-    one place that decides K-window covering: the solver, the Fejer replay,
-    ``validate_covering`` and the quasicyclic generator all advance an array
-    through it.
+    I_n as an array of 0-based indices (duplicates are harmless) or as a
+    Block's ``rows``; it is trusted to lie in 0..m-1, since a negative index
+    would wrap silently, so callers check ranges first. The update is
+    ``last[idx] = n`` in place, after which ``last[i - 1]`` equals
+    ``last_activation(schedule, i, n)`` for every n >= K-1. From n = K-1 on,
+    an index not activated in the window {n-K+1, ..., n} raises
+    CoveringError with the window's ``start`` and the sorted 1-based
+    ``missing`` indices as Python ints. This is the one place that decides
+    K-window covering: the solver, the Fejer replay, ``validate_covering``
+    and the quasicyclic generator all advance an array through it.
     """
     last[idx] = n
     if n >= K - 1 and last.min() <= n - K:

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .operators import (AveragedOp, NonFiniteError, apply, as_int, as_point,
-                        check_weights, kahan_weighted_sum, norm, row_norms)
+from .operators import (AveragedOp, NonFiniteError, RowStack, apply, as_int,
+                        as_point, check_weights, kahan_weighted_sum, norm,
+                        row_norms)
 from .schedules import (Block, BlockSchedule, CoveringError, as_block,
                          record_activation)
 
@@ -303,12 +304,38 @@ def _families(t0, ts, m, epsilon):
     return t0f, tf
 
 
+def _stack_rows(stack, rows, count, x):
+    """``count`` rows of a RowStack's kernel at the finite point ``x``.
+
+    The point's and the output's shapes are tuple compares; a mismatch
+    re-runs ``eval_block``, which raises ``apply``'s error for it. The rows
+    are not scanned: they enter a weighted mean with strictly positive
+    weights, which is non-finite whenever a row is, and ``apply`` checks the
+    mean. Only when that check fails does the caller re-run the block through
+    ``eval_block``, whose error names the first non-finite row's operator.
+    """
+    if x.shape == (stack.dim,):
+        out = np.asarray(stack.kernel(rows, x), dtype=float)
+        if out.shape == (count, stack.dim):
+            return out
+    return stack.eval_block(rows, x)
+
+
 def _residual(x, t0, inner_ops, w):
-    if hasattr(inner_ops, "eval_block"):
-        outs = inner_ops.eval_block(slice(None), x)
+    stacked = isinstance(inner_ops, RowStack)
+    if stacked:
+        outs = _stack_rows(inner_ops, slice(None), len(inner_ops), x)
     else:
         outs = [apply(op, x) for op in inner_ops]
-    return norm(x - apply(t0, kahan_weighted_sum(outs, w)))
+    # a non-finite row turns the TwoSum errors into NaN; apply reports it
+    with np.errstate(invalid="ignore"):
+        mean = kahan_weighted_sum(outs, w)
+    try:
+        return norm(x - apply(t0, mean))
+    except NonFiniteError:
+        if stacked:
+            inner_ops.eval_block(slice(None), x)    # names a bad row's operator
+        raise
 
 
 def fixed_point_residual(x, t0, ts, weights):
@@ -392,7 +419,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
     # autonomous operators ignore n, so the check needs no lag lookup
     autonomous = isinstance(ts, (list, tuple))
     # row-structured operators (a RowStack) evaluate a block in one call
-    eval_block = getattr(ts, "eval_block", None) if autonomous else None
+    stack = ts if isinstance(ts, RowStack) else None
 
     if cfg.t_init is None:
         tbuf = np.tile(x, (m, 1))
@@ -435,18 +462,19 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         if converged or at_cap:
             break
 
-        idx = block.idx
+        # a slice for consecutive members: views, not gathered copies
+        rows = block.rows
         # covering is enforced on the fly: every K-window the run
         # traverses must activate all indices
-        record_activation(last, idx, n, K)
+        record_activation(last, rows, n, K)
         if economical:
-            wi = w[idx]
-            y = z - wi @ tbuf[idx]
+            wi = w[rows]
+            y = z - wi @ tbuf[rows]
 
-        if eval_block is not None:
-            outs = eval_block(idx, x)
+        if stack is not None:
+            outs = _stack_rows(stack, rows, len(block), x)
         else:
-            outs = [apply(tf(i, n), x) for i in (idx + 1).tolist()]
+            outs = [apply(tf(i, n), x) for i in (block.idx + 1).tolist()]
         if cfg.error_model is None:
             new = outs
         else:
@@ -456,26 +484,34 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
                 _, errs, norms = pending.pop()
             # row 0 is e_{0,n}, the others e_{i,n} for the active i
             new = outs + errs[1:]
-            err_norms[idx] = norms[1:]
+            err_norms[rows] = norms[1:]
         # the block's new rows in the layout a gather of tbuf[idx] has, so
         # the economical update below need not gather them back
         new = np.ascontiguousarray(new, dtype=float)
-        tbuf[idx] = new
+        tbuf[rows] = new
 
-        if economical:
-            z = y + wi @ new
-            mean = z
-        else:
-            mean = w @ tbuf
+        # +inf and -inf rows in one column make a NaN mean; apply reports it
+        with np.errstate(invalid="ignore"):
+            if economical:
+                z = y + wi @ new
+                mean = z
+            else:
+                mean = w @ tbuf
 
-        x_next = apply(t0f(n), mean)
+        try:
+            x_next = apply(t0f(n), mean)
+        except NonFiniteError:
+            if stack is not None:
+                stack.eval_block(rows, x)   # names a bad row's operator
+            raise
         rec.err0 = rec.errsum = 0.0
         if cfg.error_model is not None:
+            # apply checked T0's output; the error row added to it is not
             x_next = x_next + errs[0]
+            if not np.isfinite(x_next).all():
+                raise NonFiniteError(f"iterate became non-finite at n={n}")
             rec.err0 = float(norms[0])
             rec.errsum = float(err_norms.sum())
-        if not np.isfinite(x_next).all():
-            raise NonFiniteError(f"iterate became non-finite at n={n}")
 
         if n >= K - 1:
             sum_err0 += rec.err0
@@ -570,11 +606,12 @@ def fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack=None):
         if blocks[n] is None:
             violations = violations[:n]
             break
-        idx = as_block(blocks[n]).idx
+        block = as_block(blocks[n])
+        idx = block.idx
         if idx.size and (idx[0] < 0 or idx[-1] >= w.size):
             raise ValueError(f"block {sorted(blocks[n])} at n={n} names an "
                              f"index outside 1..{w.size} (one weight each)")
-        record_activation(last, idx, n, K)
+        record_activation(last, block.rows, n, K)
         if n < K - 1:
             continue
         # accumulate adds left to right, as the builtin sum did

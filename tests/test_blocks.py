@@ -1,6 +1,7 @@
 """The Block contract: a schedule's blocks carry their sorted 0-based index
-array, built once and shared; the layers that read it (Fejer replay, trace
-writer) give what they gave when each of them sorted the set itself."""
+array, and a slice in its place when the indices are consecutive, built once
+and shared; the layers that read them (Fejer replay, trace writer) give what
+they gave when each of them sorted the set itself."""
 
 import copy
 import hashlib
@@ -54,9 +55,36 @@ class TestBlock:
         assert twin.idx.tolist() == [0, 1, 2]
         assert not twin.idx.flags.writeable
 
+    @pytest.mark.parametrize("clone", [
+        lambda b: pickle.loads(pickle.dumps(b)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize("members, rows", [
+        ([4, 2, 3], slice(1, 4)), ([5, 1, 2], [0, 1, 4])],
+        ids=["consecutive", "gapped"])
+    def test_copies_rebuild_rows(self, clone, members, rows):
+        twin = clone(Block(members))
+        if isinstance(rows, slice):
+            assert twin.rows == rows
+        else:
+            assert twin.rows is twin.idx and twin.idx.tolist() == rows
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.frozensets(st.integers(1, 40), min_size=1))
+    @example(frozenset({1}))
+    @example(frozenset({40, 39}))
+    def test_rows_is_a_slice_exactly_for_consecutive_members(self, members):
+        blk = Block(members)
+        consecutive = max(members) - min(members) + 1 == len(members)
+        assert isinstance(blk.rows, slice) == consecutive
+        a = np.arange(2.0, 82.0).reshape(40, 2)
+        assert np.array_equal(a[blk.rows], a[blk.idx])
+        if not consecutive:
+            assert blk.rows is blk.idx
+
     def test_empty_block_has_an_empty_index_array(self):
         blk = Block()
         assert not blk and blk.idx.dtype == np.intp and blk.idx.size == 0
+        assert blk.rows.size == 0
 
     @pytest.mark.parametrize("members", [[1.7], [1, 2.5], ["a"], [2**70]],
                              ids=["fraction", "mixed", "string", "huge"])

@@ -59,6 +59,54 @@ def test_block_equals_its_rows_through_apply(name):
                 == fixed_point_residual(x, prob.t0, list(ts), prob.weights))
 
 
+@pytest.mark.parametrize("block_size", [1, 7, 15, 40])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_kernel_on_a_slice_equals_the_kernel_on_its_index_array(name,
+                                                                block_size):
+    """The solver hands a cyclic block's kernel a slice when its rows are
+    consecutive; wrapped blocks keep their index array. Either way the rows
+    are the bits the index array gives."""
+    prob = BUILDERS[name]()
+    schedule = make_cyclic(prob.m, block_size)
+    rng = np.random.default_rng(block_size)
+    kinds = set()
+    for n in range(2 * prob.m):
+        blk = schedule.block(n)
+        kinds.add(type(blk.rows))
+        x = 3.0 * rng.standard_normal(prob.dim)
+        assert np.array_equal(prob.ts.kernel(blk.rows, x),
+                              prob.ts.kernel(blk.idx, x))
+    # 40 rows in blocks of 7 and 15 wrap; blocks of 1 and 40 never do
+    assert slice in kinds
+    assert (np.ndarray in kinds) == (prob.m % block_size != 0)
+
+
+@pytest.mark.parametrize("runner", [run, run_economical],
+                         ids=["plain", "economical"])
+def test_clean_stacked_run_never_re_runs_a_block_through_eval_block(
+        runner, monkeypatch):
+    """Each iteration and each check calls the kernel once; the validating
+    eval_block runs only to name an operator once a mean is non-finite."""
+    prob = _least_squares()
+    calls = {"kernel": 0, "eval_block": 0}
+    kernel, eval_block = prob.ts.kernel, prob.ts.eval_block
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(prob.ts, "kernel", counted("kernel", kernel))
+    monkeypatch.setattr(prob.ts, "eval_block",
+                        counted("eval_block", eval_block))
+    cfg = SolverConfig(weights=prob.weights, schedule=make_cyclic(prob.m, 7),
+                       max_iters=60, tol_residual=-1.0, check_every=4)
+    res = runner(prob.t0, prob.ts, cfg, np.ones(prob.dim))
+    checks = sum(rec.residual is not None for rec in res.trace)
+    assert calls == {"kernel": res.iterations + checks, "eval_block": 0}
+
+
 @pytest.mark.parametrize("errors", [None, SeededDecayErrors(0.01, seed=2)],
                          ids=["clean", "errors"])
 @pytest.mark.parametrize("runner", [run, run_economical],
