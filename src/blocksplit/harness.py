@@ -17,9 +17,9 @@ import numpy as np
 from . import problems
 from .calculus import set_from_spec
 from .operators import NonFiniteError, as_int, as_point, norm
-from .schedules import (Block, CoveringError, as_block, check_concentrating,
-                        mu_row, schedule_from_spec, make_full,
-                        validate_covering)
+from .schedules import (CoveringError, as_block, blocks_from_runs,
+                        check_concentrating, mu_row, schedule_from_spec,
+                        make_full, validate_covering)
 from .solver import (SeededDecayErrors, SolverConfig, fejer_audit,
                      fejer_audit_arrays, linear_rate_audit_arrays,
                      require_error_free, run, run_economical)
@@ -154,6 +154,8 @@ def synthetic_unit_rows(n_features, m, seed, noise=0.3):
 # trace persistence
 
 TRACE_HEADER = "n,residual,step,err0,errsum,block,dist_ref"
+# a bound on trace block members: index arithmetic on them stays in int64
+_MEMBER_BOUND = 2**62
 
 
 def _fmt(v):
@@ -161,21 +163,26 @@ def _fmt(v):
 
 
 def write_trace_csv(path, trace):
-    """Persist a trace with shortest-round-trip float formatting."""
-    lines = [TRACE_HEADER]
-    for rec in trace:
-        block = ("" if rec.block is None else
-                 "|".join(map(str, (as_block(rec.block).idx + 1).tolist())))
-        lines.append(",".join([
-            str(rec.n), _fmt(rec.residual), _fmt(rec.step), _fmt(rec.err0),
-            _fmt(rec.errsum), block, _fmt(rec.dist_ref),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Persist a trace with shortest-round-trip float formatting, one line
+    to the file per record, so the text is never held whole."""
+    with Path(path).open("w") as fh:
+        fh.write(TRACE_HEADER + "\n")
+        for rec in trace:
+            block = ("" if rec.block is None else "|".join(
+                map(str, (as_block(rec.block).idx + 1).tolist())))
+            fh.write(",".join([
+                str(rec.n), _fmt(rec.residual), _fmt(rec.step),
+                _fmt(rec.err0), _fmt(rec.errsum), block, _fmt(rec.dist_ref),
+            ]) + "\n")
 
 
 def read_trace_csv(path):
-    """Load a persisted trace into parallel lists keyed by column name; each
-    block is read straight into a ``Block``, as the audits take it."""
+    """Load a persisted trace into parallel lists keyed by column name.
+
+    Each block is read into a ``Block``, as the audits take it: its members
+    are parsed with ``int`` line by line, then every block is sorted and
+    deduplicated in one ``blocks_from_runs`` call. A member that is not an
+    integer, or beyond +-2**62, makes its line malformed."""
     try:
         text = Path(path).read_text().strip().splitlines()
     except OSError as exc:
@@ -183,6 +190,8 @@ def read_trace_csv(path):
     if not text or text[0] != TRACE_HEADER:
         raise ConfigError(f"{path}: not a blocksplit trace (bad header)")
     out = {key: [] for key in TRACE_HEADER.split(",")}
+    # the members of every nonempty block, each block's count, its row
+    members, counts, where = [], [], []
     for k, line in enumerate(text[1:], 2):
         try:
             n, residual, step, err0, errsum, block, dist = line.split(",")
@@ -191,11 +200,19 @@ def read_trace_csv(path):
                              ("err0", err0), ("errsum", errsum),
                              ("dist_ref", dist)):
                 out[key].append(float(raw) if raw else None)
-            out["block"].append(Block(map(int, block.split("|")))
-                                if block else None)
+            if block:
+                run = [int(v) for v in block.split("|")]
+                if not -_MEMBER_BOUND <= min(run) <= max(run) <= _MEMBER_BOUND:
+                    raise ValueError("block member out of range")
+                members += run
+                counts.append(len(run))
+                where.append(k - 2)
+            out["block"].append(None)
         except ValueError as exc:
             raise ConfigError(f"{path}: line {k}: malformed trace line "
                               f"{line!r} ({exc})") from None
+    for row, blk in zip(where, blocks_from_runs(members, counts)):
+        out["block"][row] = blk
     return out
 
 

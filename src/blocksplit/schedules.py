@@ -34,48 +34,152 @@ class CoveringError(ValueError):
         self.missing = missing
 
 
-class Block(frozenset):
-    """A block I_n: a frozenset of 1-based operator indices that also carries
-    its members as ``idx``, a sorted, read-only array of 0-based ``np.intp``
-    indices, and as ``rows``, the same rows as an index: the slice
-    ``slice(idx[0], idx[-1] + 1)`` when the members are consecutive and
-    positive, ``idx`` itself otherwise. Both are built once with the block.
+class Block:
+    """A block I_n of 1-based operator indices, held as ``idx``, a sorted,
+    read-only array of distinct 0-based ``np.intp`` indices, and as ``rows``,
+    the same rows as an index: the slice ``slice(idx[0], idx[-1] + 1)`` when
+    the members are consecutive and positive, ``idx`` itself otherwise. Both
+    are built once with the block, and a Block cannot be changed after.
 
-    Equality, hashing and membership are frozenset's, so a Block equals the
-    plain frozenset of its members; set algebra on it returns plain
-    frozensets. Every layer that indexes with a block reads ``idx`` or
-    ``rows`` instead of sorting the set again. For members in 1..len(a),
-    ``a[blk.rows]`` equals ``a[blk.idx]``, but a slice makes a view where the
-    index array gathers a copy, so the solver's per-iteration reads, writes
-    and row kernel take ``rows``. Members must be integers (ValueError
-    otherwise); their range is the schedule's to check.
+    A Block is not a frozenset, but it compares as the frozenset of its
+    members: ``==`` holds both ways with a set or frozenset of the same
+    members, and ``hash``, ``in``, ``len`` and truth are that frozenset's.
+    Iteration yields the members as Python ints in increasing order. Set
+    algebra (``|``, ``&``, ``-`` and ``union``) builds that frozenset on
+    demand and returns plain frozensets; ``frozenset(blk)`` gives it for
+    anything else. The object keeps only its arrays.
+
+    Every layer that indexes with a block reads ``idx`` or ``rows`` instead
+    of sorting the set again, and the solver's loop calls no Block method.
+    For members in 1..len(a), ``a[blk.rows]`` equals ``a[blk.idx]``, but a
+    slice makes a view where the index array gathers a copy, so the
+    solver's per-iteration reads, writes and row kernel take ``rows``.
+    Members may come as any iterable; duplicates are dropped, and members
+    must be integers (ValueError otherwise). Their range is the schedule's
+    to check.
     """
 
     __slots__ = ("idx", "rows")
 
     def __new__(cls, members=()):
-        self = super().__new__(cls, members)
-        if not self:
-            idx = self.rows = np.empty(0, np.intp)
-        else:
-            ordered = sorted(self)
-            idx = np.array(ordered)
-            if idx.dtype.kind not in "iu":
-                raise ValueError(f"block members must be integers, got "
-                                 f"{sorted(self, key=repr)}")
-            idx = (idx - 1).astype(np.intp, copy=False)
-            # sorted and distinct, so consecutive exactly when the span is
-            # the size; a start below 1 would wrap differently in a slice
-            lo, hi = int(ordered[0]), int(ordered[-1])
-            self.rows = (slice(lo - 1, hi) if lo >= 1
-                         and hi - lo == len(ordered) - 1 else idx)
+        members = set(members)
+        if not members:
+            return cls.from_sorted(np.empty(0, np.intp))
+        try:
+            idx = np.array(sorted(members))
+        except TypeError:           # unordered kinds, such as 1 and "a"
+            idx = None
+        if idx is None or idx.dtype.kind not in "iu":
+            raise ValueError(f"block members must be integers, got "
+                             f"{sorted(members, key=repr)}")
+        idx = idx.astype(np.intp, copy=False)
+        idx -= 1
+        return cls.from_sorted(idx)
+
+    @classmethod
+    def from_sorted(cls, idx):
+        """The Block over ``idx``, a sorted array of distinct 0-based
+        ``np.intp`` indices, taken as is: not checked, not copied, and made
+        read-only."""
         idx.flags.writeable = False
-        self.idx = idx
+        if idx.size and idx[0] >= 0 and idx[-1] - idx[0] == idx.size - 1:
+            return cls._of(idx, slice(int(idx[0]), int(idx[-1]) + 1))
+        return cls._of(idx, idx)
+
+    @classmethod
+    def _of(cls, idx, rows):
+        """The Block over the read-only ``idx`` and ``rows``. Its callers
+        make ``rows`` a slice when the sorted, distinct members span exactly
+        their count and start at 1 or above: a start below would wrap in a
+        slice."""
+        self = object.__new__(cls)
+        _set_idx(self, idx)
+        _set_rows(self, rows)
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Block is immutable")
+
+    __delattr__ = __setattr__
+
+    def __len__(self):
+        return self.idx.size
+
+    def __iter__(self):
+        return iter((self.idx + 1).tolist())
+
+    def __contains__(self, item):
+        if type(item) is not int:
+            return item in frozenset(self)
+        i, idx = item - 1, self.idx
+        return (idx.size > 0 and idx[0] <= i <= idx[-1]
+                and idx[idx.searchsorted(i)] == i)
+
+    def __eq__(self, other):
+        if isinstance(other, Block):
+            return np.array_equal(self.idx, other.idx)
+        if isinstance(other, (set, frozenset)):
+            return frozenset(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self))
+
+    def __repr__(self):
+        return f"Block({(self.idx + 1).tolist()})"
 
     def __reduce__(self):
         # rebuild idx and rows from the members, so a copy's idx is read-only
-        return type(self), (list(self),)
+        return type(self), ((self.idx + 1).tolist(),)
+
+
+# the slots' own setters: Block.__setattr__ refuses every assignment
+_set_idx, _set_rows = Block.idx.__set__, Block.rows.__set__
+
+
+def _on_frozenset(name):
+    method = getattr(frozenset, name)
+    return lambda self, *others: method(frozenset(self), *others)
+
+
+# set algebra goes through the frozenset of the members; frozenset's own
+# operators return NotImplemented for an operand that is not a set
+for _name in ("__or__", "__ror__", "__and__", "__rand__", "__sub__",
+              "__rsub__", "union"):
+    setattr(Block, _name, _on_frozenset(_name))
+del _name
+
+
+def blocks_from_runs(members, counts):
+    """Blocks built together from consecutive runs of ``members``: block k
+    is ``Block(run k)``, run k being the next ``counts[k]`` members, each
+    count at least 1. One sort orders and deduplicates every run, and each
+    Block's ``idx`` is a read-only view of one shared array, so a long list
+    of small Blocks (a trace read back) makes no array per block. Members
+    must be integers (ValueError otherwise)."""
+    if not len(counts):
+        return []
+    flat = np.array(members)
+    if flat.dtype.kind not in "iu":
+        raise ValueError("block members must be integers")
+    owner = np.repeat(np.arange(len(counts)), counts)
+    order = np.lexsort((flat, owner))
+    owner, idx = owner[order], flat[order].astype(np.intp) - 1
+    # after the sort, a duplicate equals its predecessor in the same run
+    keep = np.ones(idx.size, dtype=bool)
+    keep[1:] = (owner[1:] != owner[:-1]) | (idx[1:] != idx[:-1])
+    owner, idx = owner[keep], idx[keep]
+    idx.flags.writeable = False
+    stops = np.cumsum(np.bincount(owner, minlength=len(counts)))
+    starts = np.concatenate(([0], stops[:-1]))
+    blocks = []
+    for start, stop, lo, hi in zip(starts.tolist(), stops.tolist(),
+                                   idx[starts].tolist(),
+                                   idx[stops - 1].tolist()):
+        run = idx[start:stop]
+        blocks.append(Block._of(run, slice(lo, hi + 1) if lo >= 0
+                                and hi - lo == stop - start - 1 else run))
+    return blocks
 
 
 def as_block(members):
@@ -104,19 +208,19 @@ class BlockSchedule:
         """
         if n < 0:
             raise ValueError("block index must be >= 0")
-        blk = self._block_fn(n)
+        blk = members = self._block_fn(n)
         if not isinstance(blk, Block):
-            blk = frozenset(blk)
+            members = frozenset(members)
             try:
-                blk = Block(blk)
+                blk = Block(members)
             except ValueError:
-                pass            # non-integer members: out of range below
-        if not blk:
+                blk = None      # non-integer members: out of range below
+        # the checks read idx alone: no Block method runs per iteration
+        if blk is not None and not blk.idx.size:
             raise CoveringError(f"schedule {self.name!r}: empty block at n={n}")
-        if (not isinstance(blk, Block) or blk.idx[0] < 0
-                or blk.idx[-1] >= self.m):
+        if blk is None or blk.idx[0] < 0 or blk.idx[-1] >= self.m:
             raise CoveringError(
-                f"schedule {self.name!r}: block {sorted(blk)} at n={n} "
+                f"schedule {self.name!r}: block {sorted(members)} at n={n} "
                 f"not within 1..{self.m}"
             )
         return blk
@@ -171,14 +275,19 @@ def make_quasicyclic_random(m, K, seed):
     rng = np.random.default_rng(seed)
     cache = []
     last = np.full(m, -1)
+    every = np.arange(m)
 
     def extend():
         n = len(cache)
         size = int(rng.integers(1, m + 1))
-        picks = np.concatenate((rng.choice(m, size=size, replace=False),
-                                np.flatnonzero(last <= n - K)))
-        record_activation(last, picks, n, K)
-        cache.append(Block((picks + 1).tolist()))
+        # the overdue indices and the random picks, as a mask: selecting
+        # with it gives the block sorted and distinct, in an array that owns
+        # its data, so the cache holds nothing beside it
+        active = last <= n - K
+        active[rng.choice(m, size=size, replace=False)] = True
+        idx = every[active]
+        record_activation(last, idx, n, K)
+        cache.append(Block.from_sorted(idx))
 
     def block_fn(n):
         while len(cache) <= n:
@@ -339,13 +448,14 @@ def mu_row(schedule, weights, n):
     if n <= K - 2:
         return ConcentratingRow(n=n, entries={n: 1.0})
     entries = {}
-    seen = set()
+    seen = np.zeros(schedule.m, dtype=bool)
     for j in range(n, n - K, -1):
-        block = schedule.block(j)
-        fresh = block - seen
-        if fresh:
-            entries[j] = float(sum(w[i - 1] for i in sorted(fresh)))
-        seen |= block
+        idx = schedule.block(j).idx
+        fresh = idx[~seen[idx]]
+        if fresh.size:
+            # left to right over the sorted fresh indices, as a builtin sum
+            entries[j] = float(np.add.accumulate(w[fresh])[-1])
+        seen[idx] = True
     return ConcentratingRow(n=n, entries=entries)
 
 

@@ -377,12 +377,12 @@ def _error_window(model, schedule, block, start, stop, dim):
         except CoveringError:
             # a corrupt block belongs to iteration k, which may never run
             break
-        if len(indices) + 1 + len(block) > max_rows:
+        if len(indices) + 1 + block.idx.size > max_rows:
             entries.append((block, None, None))
             break
         blocks.append(block)
         indices += [0, *(block.idx + 1).tolist()]
-    sizes = [1 + len(b) for b in blocks]
+    sizes = [1 + b.idx.size for b in blocks]
     steps = np.repeat(np.arange(start, start + len(blocks)), sizes)
     errs = model.error(np.array(indices), steps, dim)
     norms = row_norms(errs)
@@ -451,9 +451,9 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
             else:
                 # c(i, n): last activation in the window {n-K+1, ..., n},
                 # block n included; n itself before the first activation
-                oldest = max(0, n - K + 1)
-                check_ops = [tf(i, n if i in block or k < oldest else k)
-                             for i, k in enumerate(last.tolist(), 1)]
+                lags = np.where(last < max(0, n - K + 1), n, last)
+                lags[block.rows] = n
+                check_ops = [tf(i, c) for i, c in enumerate(lags.tolist(), 1)]
             residual = _residual(x, t0f(n), check_ops, w)
         converged = residual is not None and residual <= cfg.tol_residual
         rec = TraceRecord(n=n, x=x.copy(), residual=residual,
@@ -472,7 +472,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
             y = z - wi @ tbuf[rows]
 
         if stack is not None:
-            outs = _stack_rows(stack, rows, len(block), x)
+            outs = _stack_rows(stack, rows, block.idx.size, x)
         else:
             outs = [apply(tf(i, n), x) for i in (block.idx + 1).tolist()]
         if cfg.error_model is None:

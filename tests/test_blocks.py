@@ -8,18 +8,20 @@ import hashlib
 import math
 import pickle
 import re
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from blocksplit.harness import (TRACE_HEADER, run_experiment,
-                                synthetic_regression, synthetic_unit_rows,
-                                write_trace_csv)
+from blocksplit.harness import (TRACE_HEADER, ConfigError, read_trace_csv,
+                                run_experiment, synthetic_regression,
+                                synthetic_unit_rows, write_trace_csv)
 from blocksplit.operators import apply, check_weights
 from blocksplit.problems import least_squares_feasibility
 from blocksplit.schedules import (Block, BlockSchedule, CoveringError,
-                                  check_concentrating, lag_identity_check,
+                                  blocks_from_runs, check_concentrating, lag_identity_check,
                                   last_activation, make_cyclic, make_explicit,
                                   make_quasicyclic_random, mu_row,
                                   record_activation, validate_covering)
@@ -91,6 +93,137 @@ class TestBlock:
     def test_non_integer_members_rejected(self, members):
         with pytest.raises(ValueError, match="block members must be integers"):
             Block(members)
+
+
+member_lists = st.integers(1, 40).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.integers(1, m), max_size=2 * m)))
+containers = st.sampled_from([
+    list, set, lambda ms: (i for i in ms), lambda ms: np.array(ms, np.int64)])
+
+
+@settings(deadline=None, max_examples=200)
+@given(member_lists, containers)
+@example((9, [9, 1]), list)              # a frozenset iterates these as 9, 1
+@example((3, []), set)
+@example((5, [5, 5, 2]), lambda ms: np.array(ms, np.int64))
+def test_block_agrees_with_its_frozenset(case, container):
+    m, members = case
+    blk, ref = Block(container(members)), frozenset(members)
+    assert blk == ref and ref == blk and blk == set(ref) and set(ref) == blk
+    assert not blk != ref and not ref != blk
+    assert hash(blk) == hash(ref)
+    assert len(blk) == len(ref) and bool(blk) == bool(ref)
+    assert list(blk) == sorted(ref)
+    assert all(type(i) is int for i in blk)
+    for item in [*ref, 0, m + 1, 1.5, "a"]:
+        assert (item in blk) == (item in ref)
+    assert Block(members) == blk and hash(Block(members)) == hash(blk)
+    other = {1, 2, m + 1}
+    for derived, expected in ((blk | other, ref | other),
+                              (blk - other, ref - other),
+                              (blk & other, ref & other),
+                              (blk.union(other, {0}), ref.union(other, {0}))):
+        assert type(derived) is frozenset and derived == expected
+
+
+def test_block_is_immutable_and_holds_no_set():
+    blk = Block([2, 1])
+    with pytest.raises(AttributeError):
+        blk.idx = np.arange(3)
+    with pytest.raises(AttributeError):
+        blk.extra = 1
+    assert not isinstance(blk, (set, frozenset))
+    assert not hasattr(blk, "__dict__")
+
+
+@contextmanager
+def traced_memory():
+    """Yields a function giving (current, peak) bytes traced since entry."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        yield lambda: tuple(b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_quasicyclic_cache_is_small():
+    # the README schedule; a frozenset-based cache took about 1.5 KB a block
+    with traced_memory() as traced:
+        schedule = make_quasicyclic_random(30, 5, seed=1)
+        schedule.block(6249)
+        held = traced()[0]
+    assert held / 6250 < 400
+
+
+class SealedBlock(Block):
+    """A Block whose Python-level methods fail when called."""
+
+    __slots__ = ()
+
+    def _sealed(self, *args):
+        raise AssertionError("a Block method was called")
+
+    __len__ = __iter__ = __contains__ = __eq__ = __hash__ = _sealed
+
+
+@pytest.mark.parametrize("kind", ["stacked", "list", "family"])
+@pytest.mark.parametrize("runner", [run, run_economical])
+def test_solver_loop_reads_only_idx_and_rows(kind, runner):
+    inner = make_quasicyclic_random(12, 4, seed=6)
+    schedule = BlockSchedule(
+        12, 4, lambda n: SealedBlock.from_sorted(inner.block(n).idx))
+    prob = least_squares_feasibility(*synthetic_unit_rows(3, 12, 1))
+    ops = list(prob.ts)
+    ts = {"stacked": prob.ts, "list": ops,
+          "family": lambda i, n: ops[i - 1]}[kind]
+    cfg = SolverConfig(weights=prob.weights, schedule=schedule, max_iters=60,
+                       tol_residual=-1.0, check_every=3,
+                       error_model=SeededDecayErrors(1e-3, seed=2))
+    res = runner(prob.t0, ts, cfg, np.ones(3), x_ref=np.zeros(3))
+    assert res.iterations == 60
+    assert type(res.trace[0].block) is SealedBlock
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.lists(st.integers(-3, 50), min_size=1, max_size=20),
+                max_size=12))
+@example([[4, 2, 3, 3], [5, 1, 2], [0, 1], [-1]])
+def test_blocks_from_runs_match_a_block_per_run(runs):
+    blocks = blocks_from_runs([i for run in runs for i in run],
+                              [len(run) for run in runs])
+    assert len(blocks) == len(runs)
+    for blk, run in zip(blocks, runs):
+        ref = Block(run)
+        assert type(blk) is Block and blk == ref
+        assert np.array_equal(blk.idx, ref.idx) and blk.idx.dtype == np.intp
+        assert not blk.idx.flags.writeable
+        if isinstance(ref.rows, slice):
+            assert blk.rows == ref.rows
+        else:
+            assert blk.rows is blk.idx
+
+
+def test_blocks_from_runs_rejects_non_integers():
+    with pytest.raises(ValueError, match="block members must be integers"):
+        blocks_from_runs([1, 2.5], [2])
+
+
+def test_trace_reader_sorts_deduplicates_and_bounds_members(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"{TRACE_HEADER}\n0,1.0,0.5,,,3|1|3,2.0\n1,,,,,,1.0\n")
+    blocks = read_trace_csv(path)["block"]
+    assert blocks[1] is None and list(blocks[0]) == [1, 3]
+    assert blocks[0].idx.tolist() == [0, 2]
+    path.write_text(f"{TRACE_HEADER}\n0,1.0,0.5,,,1|{2**70},2.0\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"line 2: malformed trace line '0,1.0,0.5,,,1|{2**70},2.0' "
+            f"(block member out of range)")):
+        read_trace_csv(path)
 
 
 # the messages BlockSchedule.block raised for corrupt blocks when it
@@ -234,6 +367,36 @@ def test_mu_rows_are_concentrating_where_windows_are_covered(schedule, extra,
     assert report.diagonal_infimum >= weights.min()
 
 
+def reference_mu_row(schedule, weights, n):
+    """Row n of the induced array as written with set differences and a
+    builtin sum over the sorted fresh indices."""
+    K = schedule.K
+    if n <= K - 2:
+        return {n: 1.0}
+    entries, seen = {}, set()
+    for j in range(n, n - K, -1):
+        block = frozenset(schedule.block(j))
+        fresh = block - seen
+        if fresh:
+            entries[j] = float(sum(weights[i - 1] for i in sorted(fresh)))
+        seen |= block
+    return entries
+
+
+@settings(deadline=None, max_examples=50)
+@given(schedule_cases, st.integers(0, 30), st.integers(0, 2**32 - 1))
+@example(make_cyclic(7, 3), 10, 0)
+@example(make_explicit(3, 2, [[1], [2], [3]]), 5, 1)    # violates covering
+def test_mu_rows_match_the_set_difference_rows(schedule, extra, seed):
+    # magnitudes over many decades, so the summation order shows
+    raw = np.exp(np.random.default_rng(seed).normal(0.0, 6.0, schedule.m))
+    weights = raw / raw.sum()
+    for n in range(schedule.K + extra):
+        row = mu_row(schedule, weights, n)
+        assert row.entries == reference_mu_row(schedule, weights, n)
+        assert all(type(mu) is float for mu in row.entries.values())
+
+
 @settings(deadline=None, max_examples=40)
 @given(schedule_cases, st.integers(1, 4), st.integers(0, 20),
        st.integers(0, 2**16), st.booleans())
@@ -349,6 +512,37 @@ def test_trace_csv_matches_the_sorting_writer(tmp_path_factory, trace):
     path = tmp_path_factory.mktemp("trace") / "trace.csv"
     write_trace_csv(path, trace)
     assert path.read_text() == reference_trace_csv(trace)
+
+
+def joined_trace_csv(trace):
+    """The trace CSV as written when all its lines were joined first."""
+    lines = [TRACE_HEADER]
+    for rec in trace:
+        block = ("" if rec.block is None else
+                 "|".join(map(str, (rec.block.idx + 1).tolist())))
+        lines.append(",".join([
+            str(rec.n), _fmt(rec.residual), _fmt(rec.step), _fmt(rec.err0),
+            _fmt(rec.errsum), block, _fmt(rec.dist_ref),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("length", [6000, 24000])
+def test_trace_writer_memory_does_not_grow_with_the_trace(tmp_path, length):
+    schedule = make_quasicyclic_random(30, 5, seed=1)
+    rng = np.random.default_rng(length)
+    trace = [TraceRecord(n=n, x=np.zeros(1), block=schedule.block(n),
+                         residual=float(r) if n % 10 == 0 else None,
+                         step=float(r), err0=float(r) / 3, errsum=0.0,
+                         dist_ref=float(r) * 7)
+             for n, r in enumerate(rng.random(length))]
+    trace.append(TraceRecord(n=length, x=np.zeros(1), residual=1e-11))
+    path = tmp_path / "trace.csv"
+    with traced_memory() as traced:
+        write_trace_csv(path, trace)
+        peak = traced()[1]
+    assert peak < 64 * 1024
+    assert path.read_text() == joined_trace_csv(trace)
 
 
 def test_trace_records_are_slotted():

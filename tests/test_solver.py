@@ -210,6 +210,40 @@ class TestLaggedStoppingCheck:
         assert set(calls) == {(int, int)}
 
 
+    @pytest.mark.parametrize("K, seed", [(3, 1), (5, 7)])
+    def test_family_is_asked_for_the_last_activations(self, K, seed):
+        # every check at n asks for (i, c(i, n)) for i = 1..m in order:
+        # last_activation's c from n = K-1 on; before that the latest step
+        # <= n whose block held i, or n for an index not yet activated
+        sched = make_quasicyclic_random(6, K, seed=seed)
+        asked = []
+
+        def family(i, n):
+            asked.append((i, n))
+            return AXIS_X if i % 2 else AXIS_Y
+
+        def outer(n):
+            asked.append(("T0", n))
+            return scaling_op(2, 0.5)
+
+        cfg = SolverConfig(weights=[1 / 6] * 6, schedule=sched, max_iters=40,
+                           tol_residual=-1.0, check_every=1)
+        run(outer, family, cfg, [1.0, 1.0])
+        for n in range(41):
+            if n >= K - 1:
+                lags = [last_activation(sched, i, n) for i in range(1, 7)]
+            else:
+                lags = [max((k for k in range(n + 1) if i in sched.block(k)),
+                            default=n) for i in range(1, 7)]
+            assert asked[:7] == [*zip(range(1, 7), lags), ("T0", n)]
+            # then, below the cap, the block's evaluations at n and T0 at n
+            update = ([(i, n) for i in sched.block(n)] + [("T0", n)]
+                      if n < 40 else [])
+            assert asked[7:7 + len(update)] == update
+            del asked[:7 + len(update)]
+        assert asked == []
+
+
 class TestFullActivationReduction:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_direct_mann_loop(self, seed):
