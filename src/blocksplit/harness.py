@@ -17,6 +17,7 @@ import numpy as np
 from . import problems
 from .calculus import set_from_spec
 from .operators import NonFiniteError, as_int, as_point, norm
+# validate_covering is not called here; bench/bench_trace.py patches it by name
 from .schedules import (CoveringError, as_block, blocks_from_runs,
                         check_concentrating, mu_row, schedule_from_spec,
                         make_full, validate_covering)
@@ -464,9 +465,10 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
                     for n in range(min(result.iterations + 1, 200))]
             summary["audits"]["concentrating"] = bool(
                 check_concentrating(rows, schedule.K).passed)
-            # the covering verdict describes the horizon the run visited
-            summary["audits"]["covering"] = validate_covering(
-                schedule, max(result.iterations, schedule.K)) is None
+            # the run raised CoveringError on any uncovered window it
+            # passed through; a run shorter than K passed through none
+            summary["audits"]["covering"] = (
+                True if result.iterations >= schedule.K else None)
             if ref is not None:
                 # distances to an unconverged reference say nothing about
                 # Fejer monotonicity, so such a reference fails the audit

@@ -44,10 +44,9 @@ class Block:
     A Block is not a frozenset, but it compares as the frozenset of its
     members: ``==`` holds both ways with a set or frozenset of the same
     members, and ``hash``, ``in``, ``len`` and truth are that frozenset's.
-    Iteration yields the members as Python ints in increasing order. Set
-    algebra (``|``, ``&``, ``-`` and ``union``) builds that frozenset on
-    demand and returns plain frozensets; ``frozenset(blk)`` gives it for
-    anything else. The object keeps only its arrays.
+    Iteration yields the members as Python ints in increasing order, so
+    ``frozenset(blk)`` gives the frozenset itself. The object keeps only
+    its arrays.
 
     Every layer that indexes with a block reads ``idx`` or ``rows`` instead
     of sorting the set again, and the solver's loop calls no Block method.
@@ -135,19 +134,6 @@ class Block:
 
 # the slots' own setters: Block.__setattr__ refuses every assignment
 _set_idx, _set_rows = Block.idx.__set__, Block.rows.__set__
-
-
-def _on_frozenset(name):
-    method = getattr(frozenset, name)
-    return lambda self, *others: method(frozenset(self), *others)
-
-
-# set algebra goes through the frozenset of the members; frozenset's own
-# operators return NotImplemented for an operand that is not a set
-for _name in ("__or__", "__ror__", "__and__", "__rand__", "__sub__",
-              "__rsub__", "union"):
-    setattr(Block, _name, _on_frozenset(_name))
-del _name
 
 
 def blocks_from_runs(members, counts):
@@ -267,8 +253,8 @@ def make_quasicyclic_random(m, K, seed):
     Any index that was not activated during the previous K-1 steps is
     inserted into I_n, so the covering condition holds by construction
     rather than by rejection sampling. The Blocks are cached: ``mu_row``,
-    ``last_activation`` and the post-run covering walk read old blocks, and
-    the seeded generator cannot produce block n without replaying it from 0.
+    ``last_activation`` and ``validate_covering`` read old blocks, and the
+    seeded generator cannot produce block n without replaying it from 0.
     """
     if K < 1:
         raise ValueError("K must be >= 1")

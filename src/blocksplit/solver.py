@@ -152,7 +152,8 @@ class SeededDecayErrors:
     normalisation and the scaling each run once over all rows; only the
     PCG64 generator and its standard normal draw are per row. Each scale
     c / (n+1)**p is Python's float power (the C library's ``pow``), once per
-    distinct step: numpy's ``power`` rounds some of them differently.
+    distinct step: numpy's ``power`` rounds some of them differently. Where
+    that power overflows, the scale is exp(log c - p log(n+1)) instead.
     """
 
     def __init__(self, c, seed=0, p=2.0):
@@ -195,10 +196,18 @@ class SeededDecayErrors:
             norms[zero] = 1.0
             out /= norms[:, None]
             distinct, where = np.unique(steps, return_inverse=True)
-            scales = np.array([self.c / (k + 1.0) ** self.p
-                               for k in distinct.tolist()])
+            scales = np.array([self._scale(k) for k in distinct.tolist()])
             out *= scales[where].reshape(-1, 1)
         return out if idx.ndim else out[0]
+
+    def _scale(self, k):
+        """c / (k+1)**p, through logs only where the power overflows a float
+        (k >= 1 with p = 2000, say): the scale is then below c / 1.7e308 and
+        may underflow to 0."""
+        try:
+            return self.c / (k + 1.0) ** self.p
+        except OverflowError:
+            return math.exp(math.log(self.c) - self.p * math.log(k + 1.0))
 
 
 # ---------------------------------------------------------------------------

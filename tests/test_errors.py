@@ -2,6 +2,7 @@
 a time and bit for bit the draw of numpy's ``default_rng([seed, i, n])``."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,23 @@ def test_pinned_error_matrices(case, digest):
 def test_zero_magnitude_block():
     block = SeededDecayErrors(0.0, seed=3).error(np.arange(4), 7, 5)
     assert block.shape == (4, 5) and not block.any()
+
+
+@pytest.mark.parametrize("c, p", [(0.5, 2000), (0.5, 1e308), (0.5, 2**63),
+                                  (0.5, 2**70), (1e300, 1100)])
+def test_steep_decay_scales_through_logs(c, p):
+    # (n+1)**p overflows a float from n = 1 on; the scale is then
+    # exp(log c - p log(n+1)), which may underflow to 0 but never raises
+    seed, dim, steps = 3, 4, [0, 1, 2, 2**32 - 1]
+    rows = SeededDecayErrors(c, seed=seed, p=p).error(
+        np.arange(len(steps)), np.array(steps), dim)
+    assert np.isfinite(rows).all()
+    for i, (row, n) in enumerate(zip(rows, steps)):
+        scale = c if n == 0 else math.exp(math.log(c) - p * math.log(n + 1.0))
+        direction = np.random.default_rng([seed, i, n]).standard_normal(dim)
+        assert np.array_equal(row, scale * (direction / norm(direction)))
+    # c = 1e300 keeps a scale 2**-1100 * c above the underflow at n = 1
+    assert rows[1].any() == (c == 1e300)
 
 
 @pytest.mark.parametrize("kwargs, message", [

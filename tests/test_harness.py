@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blocksplit
 from blocksplit import cli
 from blocksplit.calculus import Hyperplane, projector_op
 from blocksplit.harness import (ConfigError, EXIT_COVERING, EXIT_CONFIG,
-                                EXIT_DIVERGED, EXIT_OK,
+                                EXIT_DIVERGED, EXIT_NOT_CONVERGED, EXIT_OK,
                                 build_problem_from_config,
                                 direct_mann_iteration, l1_optimality_residual,
                                 load_data_csv, oracle_least_squares,
@@ -163,6 +168,16 @@ class TestRunExperiment:
         code, summary = run_experiment(cfg, base_dir=tmp_path)
         assert code == EXIT_COVERING
         assert "covering" in summary["error"]
+
+    def test_covering_is_null_for_a_run_shorter_than_K(self, tmp_path):
+        # no K-window fits in 200 iterations, so the run has no covering
+        # verdict to give, whatever blocks 200..499 would be
+        cfg = lasso_config(tmp_path, schedule={
+            "type": "quasicyclic", "m": 6, "K": 500, "seed": 1})
+        code, summary = run_experiment(cfg, base_dir=tmp_path, max_iters=200)
+        assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+        assert summary["iterations"] < 500
+        assert summary["audits"]["covering"] is None
 
     def test_missing_csv_exit(self, tmp_path):
         cfg = lasso_config(tmp_path)
@@ -355,6 +370,49 @@ class TestCLI:
         assert code == EXIT_DIVERGED
         assert err == "error: floating-point overflow encountered in matmul\n"
         assert not [w for w in caught if w.category is RuntimeWarning]
+
+    @pytest.mark.parametrize("p", [2000, 1e308, 2**63, 2**70])
+    def test_solve_steep_error_decay(self, tmp_path, capsys, p):
+        # (n+1)**p overflows a float from n = 1 on: the error scale is taken
+        # through logs instead, and the run ends as any other
+        cfg = lasso_config(tmp_path, errors={"c": 0.01, "p": p})
+        cfg["problem"]["data_csv"] = str(tmp_path / "data.csv")
+        cfg.pop("output")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["solve", "--config", str(cfg_path),
+                             "--max-iters", "200"])
+        captured = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+        assert "error:" not in captured.err
+        assert json.loads(captured.out)["audits"]["covering"]
+        assert not [w for w in caught if w.category is RuntimeWarning]
+
+    @pytest.mark.parametrize("K", [2**63, 1e308])
+    def test_solve_huge_K_reports_no_covering(self, tmp_path, K):
+        # a run of 200 iterations passes through no K-window: it finishes at
+        # once with a null verdict instead of walking K blocks after the solve
+        cfg = lasso_config(tmp_path, schedule={
+            "type": "quasicyclic", "m": 6, "K": K, "seed": 1})
+        cfg["problem"]["data_csv"] = str(tmp_path / "data.csv")
+        cfg["solver"]["tol_residual"] = -1
+        cfg.pop("output")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        path = [str(Path(blocksplit.__file__).resolve().parents[1]),
+                *filter(None, [os.environ.get("PYTHONPATH")])]
+        proc = subprocess.run(
+            [sys.executable, "-m", "blocksplit.cli", "solve", "--config",
+             str(cfg_path), "--max-iters", "200"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+        assert proc.returncode == EXIT_NOT_CONVERGED, proc.stderr
+        assert proc.stderr == ""
+        summary = json.loads(proc.stdout)
+        assert summary["iterations"] == 200
+        assert summary["audits"]["covering"] is None
 
     @pytest.mark.parametrize("edit, message", [
         (lambda cfg: [cfg], "config must be a JSON object, got list"),
