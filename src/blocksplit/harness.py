@@ -376,10 +376,12 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
         if seed is not None and sched_spec.get("type") == "quasicyclic":
             sched_spec["seed"] = seed
         problem = build_problem_from_config(cfg["problem"], base_dir)
-        schedule = schedule_from_spec(sched_spec)
-        if schedule.m != problem.m:
+        # compared before the schedule is built, which may size by m
+        spec_m = as_int(sched_spec.get("m"), "schedule.m")
+        if spec_m != problem.m:
             raise ConfigError(
-                f"schedule has m={schedule.m} but problem has m={problem.m}")
+                f"schedule has m={spec_m} but problem has m={problem.m}")
+        schedule = schedule_from_spec(sched_spec)
         error_model = None
         ecfg = config_section(cfg, "errors")
         if ecfg:
@@ -471,10 +473,14 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
                 True if result.iterations >= schedule.K else None)
             if ref is not None:
                 # distances to an unconverged reference say nothing about
-                # Fejer monotonicity, so such a reference fails the audit
+                # Fejer monotonicity, so such a reference fails the audit;
+                # a run shorter than K has no inequality to check
                 summary["reference_converged"] = ref.converged
-                summary["audits"]["fejer"] = ref.converged and fejer_audit(
-                    result.trace, x_ref, problem.weights, schedule.K).passed
+                summary["audits"]["fejer"] = (
+                    None if result.iterations < schedule.K
+                    else ref.converged and fejer_audit(
+                        result.trace, x_ref, problem.weights,
+                        schedule.K).passed)
     except CoveringError as exc:
         return EXIT_COVERING, {"error": str(exc)}
     except NonFiniteError as exc:

@@ -191,14 +191,22 @@ def _one_row(kernel, rows, x):
     return kernel(rows, x)[0]
 
 
-class RowStack(list):
+class RowStack:
     """m operators of one form, each parametrised by a row, evaluable a
     block at a time.
 
     ``kernel(idx, x)`` evaluates the operators at the 0-based rows ``idx``
     (an integer array or a slice) at one point ``x`` and returns a
-    ``(rows, dim)`` array. The list holds one ``AveragedOp`` per row whose
-    body is the kernel on that one-row slice, so the formula exists once.
+    ``(rows, dim)`` array. The stack holds only the kernel, ``dim``, the
+    read-only float array ``alphas`` of the m declared constants and the
+    name prefix ``name``. It is a read-only sequence of m ``AveragedOp``s:
+    ``stack[k]`` (negative k as for a list, IndexError out of range) and
+    iteration build member k when asked, as the operator whose body is the
+    kernel on the one-row slice ``slice(k, k + 1)``, with alpha
+    ``alphas[k]`` and the name ``f"{name}[{k + 1}]"``. So the formula exists
+    once and no per-row object is kept. The constructor checks ``dim`` and
+    every alpha as ``AveragedOp`` checks one.
+
     A kernel must give every row the same bits in whatever block it is
     evaluated, and for a slice as for the same rows as an array: compute
     its dot products as ``(A[idx] * x).sum(axis=1)``, not ``A[idx] @ x``,
@@ -213,13 +221,33 @@ class RowStack(list):
     through ``eval_block`` so that the error names the row's operator.
     """
 
-    def __init__(self, kernel, dim, alphas, names):
-        super().__init__(
-            AveragedOp(partial(_one_row, kernel, slice(k, k + 1)), dim=dim,
-                       alpha=float(alpha), name=name)
-            for k, (alpha, name) in enumerate(zip(alphas, names)))
+    def __init__(self, kernel, dim, alphas, name=""):
+        if dim < 1:
+            raise ValueError("operator dimension must be >= 1")
+        alphas = np.array(alphas, dtype=float)
+        if alphas.ndim != 1:
+            raise ValueError("alphas must be a 1-D sequence, one per row")
+        bad = np.flatnonzero(~((alphas > 0.0) & (alphas <= 1.0)))
+        if bad.size:
+            raise ValueError(f"alpha must lie in (0, 1], got "
+                             f"{float(alphas[bad[0]])}")
+        alphas.flags.writeable = False
         self.kernel = kernel
         self.dim = dim
+        self.alphas = alphas
+        self.name = name
+
+    def __len__(self):
+        return self.alphas.size
+
+    def __getitem__(self, k):
+        k = range(self.alphas.size)[operator.index(k)]
+        return AveragedOp(partial(_one_row, self.kernel, slice(k, k + 1)),
+                          dim=self.dim, alpha=float(self.alphas[k]),
+                          name=f"{self.name}[{k + 1}]")
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.alphas.size))
 
     def eval_block(self, idx, x):
         """The operators at the 0-based rows ``idx`` evaluated at ``x``, one

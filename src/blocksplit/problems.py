@@ -43,7 +43,7 @@ class BuiltProblem:
         """Operator i at iteration n (i = 0 is the outer operator)."""
         if i == 0:
             return self.t0 if isinstance(self.t0, AveragedOp) else self.t0(n)
-        if isinstance(self.ts, (list, tuple)):
+        if isinstance(self.ts, (list, tuple, RowStack)):
             return self.ts[i - 1]
         return self.ts(i, n)
 
@@ -232,14 +232,14 @@ def build_forward_backward(a0_resolvent, As, betas, dim, gamma=None,
         gamma = 0.9 * bound
     if not 0.0 < gamma < bound:
         raise ValueError(f"gamma must lie in (0, {bound}), got {gamma}")
-    names = [f"forward[{k + 1}]" for k in range(m)]
     if stacked:
         ops = RowStack(lambda idx, x: x - gamma * As(idx, x), dim,
-                       gamma / (2.0 * betas), names)
+                       gamma / (2.0 * betas), "forward")
     else:
-        ops = [gradient_step_op(A, float(b), gamma, dim, lipschitz=l, name=name)
-               for A, b, l, name in zip(As, betas, lipschitzs or [None] * m,
-                                        names)]
+        ops = [gradient_step_op(A, float(b), gamma, dim, lipschitz=l,
+                                name=f"forward[{k + 1}]")
+               for k, (A, b, l) in enumerate(zip(As, betas,
+                                                 lipschitzs or [None] * m))]
     t0 = AveragedOp(lambda x: np.asarray(a0_resolvent(gamma, x), dtype=float),
                     dim=dim, alpha=0.5, lipschitz=lipschitz0, name="J[gamma A0]")
     w = _resolve_weights(weights, m)

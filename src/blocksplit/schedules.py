@@ -219,16 +219,18 @@ def make_cyclic(m, block_size):
     """Consecutive wrapped index windows of the given size; K = ceil(m / size).
 
     The blocks repeat with period m // gcd(m, block_size); each of the
-    period's Blocks is built on its first fetch and shared after that.
+    period's Blocks is built on its first fetch and shared after that, so
+    nothing is sized by the period.
     """
     if not 1 <= block_size <= m:
         raise ValueError("block_size must lie in 1..m")
     K = -(-m // block_size)
-    period = [None] * (m // math.gcd(m, block_size))
+    period = m // math.gcd(m, block_size)
+    cache = {}
 
     def block_fn(n):
-        j = n % len(period)
-        blk = period[j]
+        j = n % period
+        blk = cache.get(j)
         if blk is None:
             start = (j * block_size) % m + 1
             stop = start + block_size
@@ -236,7 +238,7 @@ def make_cyclic(m, block_size):
                 members = range(start, stop)
             else:
                 members = [*range(start, m + 1), *range(1, stop - m)]
-            blk = period[j] = Block(members)
+            blk = cache[j] = Block(members)
         return blk
 
     return BlockSchedule(m, K, block_fn, name=f"cyclic({m},{block_size})")

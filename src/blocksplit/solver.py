@@ -298,13 +298,18 @@ def _families(t0, ts, m, epsilon):
         t0f = lambda n: checked(t0(n))
     else:
         raise TypeError("t0 must be an AveragedOp or a callable n -> AveragedOp")
-    if isinstance(ts, (list, tuple)):
-        ops = list(ts)
-        if len(ops) != m:
-            raise ValueError(f"expected {m} operators, got {len(ops)}")
-        for op in ops:
-            checked(op)
-        tf = lambda i, n: ops[i - 1]
+    if isinstance(ts, (list, tuple, RowStack)):
+        if len(ts) != m:
+            raise ValueError(f"expected {m} operators, got {len(ts)}")
+        if isinstance(ts, RowStack):
+            # one compare of the whole array; only a bad member is built
+            bad = np.flatnonzero(ts.alphas >= limit)
+            if bad.size:
+                checked(ts[bad[0]])
+        else:
+            for op in ts:
+                checked(op)
+        tf = lambda i, n: ts[i - 1]
     elif callable(ts):
         tf = lambda i, n: checked(ts(i, n))
     else:
@@ -425,10 +430,10 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
     if x_ref is not None:
         x_ref = as_point(x_ref, dim=dim)
     t0f, tf = _families(t0, ts, m, cfg.epsilon)
-    # autonomous operators ignore n, so the check needs no lag lookup
-    autonomous = isinstance(ts, (list, tuple))
     # row-structured operators (a RowStack) evaluate a block in one call
     stack = ts if isinstance(ts, RowStack) else None
+    # autonomous operators ignore n, so the check needs no lag lookup
+    autonomous = stack is not None or isinstance(ts, (list, tuple))
 
     if cfg.t_init is None:
         tbuf = np.tile(x, (m, 1))

@@ -1,9 +1,12 @@
 """The `solve` exit-code contract as a property over generated configs.
 
-Each example edits one or two leaves or sections of the README's lasso
-config, replacing or deleting them, and runs `blocksplit solve` in-process
-with every warning turned into an error and under a 10 s alarm, so a
-hang fails its example instead of stalling the suite. Whatever the edit,
+Each example edits one or two leaves or sections of a base config,
+replacing or deleting them, and runs `blocksplit solve` in-process with
+every warning turned into an error and under a 10 s alarm, so a hang fails
+its example instead of stalling the suite. The bases are the README's lasso
+config and small inline configs for least squares (cyclic, economical),
+logistic regression (quasicyclic, with injected errors) and a common fixed
+point of a ball and a halfspace (explicit blocks). Whatever the edit,
 `cli.main` returns a documented exit code and raises nothing, and exits 2,
 3 and 4 print exactly one `error:` line on stderr.
 """
@@ -21,19 +24,55 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blocksplit import cli
-from blocksplit.harness import synthetic_regression
+from blocksplit.harness import synthetic_regression, synthetic_unit_rows
 
-README_CONFIG = {
-    "problem": {"variant": "lasso", "data_csv": "data.csv", "l1_weight": 0.01},
-    "schedule": {"type": "quasicyclic", "m": 30, "K": 5, "seed": 1},
-    "solver": {"max_iters": 50000, "tol_residual": 1e-10, "check_every": 10},
-    "errors": {"c": 0.01, "p": 2.0, "seed": 4},
-    "audits": {"fejer": True},
-    "output": {"trace": "trace.csv", "summary": "summary.json"},
+OUTPUT = {"trace": "trace.csv", "summary": "summary.json"}
+LSQ_ROWS, LSQ_TARGETS = synthetic_unit_rows(3, 6, seed=2)
+LOGISTIC_ROWS = np.random.default_rng(5).standard_normal((8, 3))
+BASES = {
+    "readme_lasso": {
+        "problem": {"variant": "lasso", "data_csv": "data.csv",
+                    "l1_weight": 0.01},
+        "schedule": {"type": "quasicyclic", "m": 30, "K": 5, "seed": 1},
+        "solver": {"max_iters": 50000, "tol_residual": 1e-10,
+                   "check_every": 10},
+        "errors": {"c": 0.01, "p": 2.0, "seed": 4},
+        "audits": {"fejer": True},
+        "output": OUTPUT,
+    },
+    "least_squares": {
+        "problem": {"variant": "least_squares",
+                    "rows": LSQ_ROWS.round(6).tolist(),
+                    "targets": LSQ_TARGETS.round(6).tolist()},
+        "schedule": {"type": "cyclic", "m": 6, "block_size": 2},
+        "solver": {"max_iters": 50000, "tol_residual": 1e-10,
+                   "check_every": 10, "economical": True},
+        "audits": {"fejer": True},
+        "output": OUTPUT,
+    },
+    "logistic": {
+        "problem": {"variant": "logistic",
+                    "rows": LOGISTIC_ROWS.round(6).tolist(),
+                    "targets": [0, 1, 1, 0, 1, 0, 0, 1], "l1_weight": 0.01},
+        "schedule": {"type": "quasicyclic", "m": 8, "K": 4, "seed": 2},
+        "solver": {"max_iters": 50000, "tol_residual": 1e-10,
+                   "check_every": 10},
+        "errors": {"c": 0.01, "p": 2.0, "seed": 3},
+        "audits": {"fejer": True},
+        "output": OUTPUT,
+    },
+    "common_fixed_point": {
+        "problem": {"variant": "common_fixed_point",
+                    "sets": [{"set": "ball", "center": [0, 0], "radius": 1},
+                             {"set": "halfspace", "a": [1, 1], "b": 0.5}]},
+        "schedule": {"type": "explicit", "m": 2, "K": 2,
+                     "blocks": [[1], [2]]},
+        "solver": {"max_iters": 50000, "tol_residual": 1e-10,
+                   "check_every": 10, "x0": [3, 2]},
+        "audits": {"fejer": True},
+        "output": OUTPUT,
+    },
 }
-PATHS = [(section,) for section in README_CONFIG] + [
-    (section, key) for section, leaves in README_CONFIG.items()
-    for key in leaves]
 DELETE = object()
 VALUES = [DELETE, None, True, False, "", "x", -1, 0, 1, 1.5, 1e308, -1e308,
           2**63, 2**70, [], {}, 1e-300]
@@ -68,8 +107,14 @@ def workdir(tmp_path_factory):
     return path
 
 
-def edited(edits):
-    cfg = copy.deepcopy(README_CONFIG)
+def paths(base):
+    """Every section of ``base`` and every leaf of a section."""
+    return [(section,) for section in base] + [
+        (section, key) for section, leaves in base.items() for key in leaves]
+
+
+def edited(base, edits):
+    cfg = copy.deepcopy(base)
     for path, value in edits:
         owner = cfg
         for key in path[:-1]:
@@ -101,11 +146,15 @@ def solve(workdir, cfg):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("name", sorted(BASES))
 @settings(deadline=None, max_examples=300)
-@given(st.lists(st.tuples(st.sampled_from(PATHS), st.sampled_from(VALUES)),
-                min_size=1, max_size=2, unique_by=lambda edit: edit[0]))
-def test_solve_exit_code_contract(workdir, edits):
-    code, out, err = solve(workdir, edited(edits))
+@given(data=st.data())
+def test_solve_exit_code_contract(workdir, name, data):
+    base = BASES[name]
+    edits = data.draw(st.lists(
+        st.tuples(st.sampled_from(paths(base)), st.sampled_from(VALUES)),
+        min_size=1, max_size=2, unique_by=lambda edit: edit[0]), label="edits")
+    code, out, err = solve(workdir, edited(base, edits))
     assert code in EXIT_CODES
     if code >= 2:
         assert out == ""

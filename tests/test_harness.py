@@ -179,6 +179,23 @@ class TestRunExperiment:
         assert summary["iterations"] < 500
         assert summary["audits"]["covering"] is None
 
+    @pytest.mark.parametrize("iters, verdict", [(4, None), (5, True)])
+    def test_fejer_is_null_for_a_run_shorter_than_K(self, tmp_path, iters,
+                                                    verdict):
+        # the inequality is checked from n = K-1 on, for an iterate with a
+        # successor: a run of K-1 iterations has nothing to check, and an
+        # empty audit is no verdict, not a failed one
+        cfg = lasso_config(tmp_path, schedule={
+            "type": "quasicyclic", "m": 6, "K": 5, "seed": 1},
+            audits={"fejer": True, "reference_iters": 50_000})
+        code, summary = run_experiment(cfg, base_dir=tmp_path,
+                                       max_iters=iters)
+        assert code == EXIT_NOT_CONVERGED
+        assert summary["iterations"] == iters
+        assert summary["reference_converged"] is True
+        assert summary["audits"]["fejer"] is verdict
+        assert summary["audits"]["covering"] is verdict
+
     def test_missing_csv_exit(self, tmp_path):
         cfg = lasso_config(tmp_path)
         cfg["problem"]["data_csv"] = "nope.csv"
@@ -389,6 +406,16 @@ class TestCLI:
         assert "error:" not in captured.err
         assert json.loads(captured.out)["audits"]["covering"]
         assert not [w for w in caught if w.category is RuntimeWarning]
+
+    @pytest.mark.parametrize("m", [2**63, 1e308])
+    def test_solve_huge_cyclic_m_is_refused(self, tmp_path, capsys, m):
+        # the spec's m is compared with the problem's before the schedule
+        # is built: one error line, not an OverflowError from its period
+        cfg = lasso_config(tmp_path, schedule={
+            "type": "cyclic", "m": m, "block_size": 2})
+        code, err = self.solve_error(tmp_path, capsys, cfg)
+        assert code == EXIT_CONFIG
+        assert err == f"error: schedule has m={int(m)} but problem has m=6\n"
 
     @pytest.mark.parametrize("K", [2**63, 1e308])
     def test_solve_huge_K_reports_no_covering(self, tmp_path, K):

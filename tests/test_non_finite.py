@@ -51,8 +51,7 @@ def _injecting(stack, at, inject):
             out = inject(out, every_row[idx])
         return out
 
-    return RowStack(kernel, stack.dim, [op.alpha for op in stack],
-                    [op.name for op in stack])
+    return RowStack(kernel, stack.dim, stack.alphas, stack.name)
 
 
 @st.composite

@@ -33,6 +33,14 @@ class TestGenerators:
         assert s.block(0) == {1, 2}
         assert s.block(1) == {3, 1}
 
+    @pytest.mark.parametrize("m", [2**63, int(1e308)], ids=["2**63", "1e308"])
+    def test_cyclic_period_is_not_allocated(self, m):
+        # the period m // gcd(m, 3) is m itself; only fetched Blocks exist
+        s = make_cyclic(m, 3)
+        assert s.K == -(-m // 3)
+        assert s.block(0) == {1, 2, 3}
+        assert s.block(5) == {16, 17, 18}
+
     def test_full_activation(self):
         s = make_full(5)
         assert s.K == 1

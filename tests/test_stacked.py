@@ -2,7 +2,9 @@
 ``eval_block`` evaluates a whole block in one call, bit for bit as its rows
 evaluated one at a time through ``apply``."""
 
+import gc
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from blocksplit.harness import (direct_mann_iteration, synthetic_regression,
                                 synthetic_unit_rows, write_trace_csv)
-from blocksplit.operators import NonFiniteError, RowStack, apply
+from blocksplit.operators import AveragedOp, NonFiniteError, RowStack, apply
 from blocksplit.problems import (lasso_problem, least_squares_feasibility,
                                  logistic_problem)
 from blocksplit.schedules import make_cyclic, make_full, make_quasicyclic_random
@@ -36,6 +38,86 @@ def _least_squares(d=6, m=40, seed=3):
 
 BUILDERS = {"lasso": _lasso, "logistic": _logistic,
             "least_squares": _least_squares}
+
+
+def _scaled_rows(idx, x):
+    """Row k of the kernel is x / (k + 2): each row its own operator."""
+    return x / (np.arange(5)[idx] + 2.0)[:, None]
+
+
+ALPHAS = [0.5, 0.25, 1.0, 0.75, 0.125]
+
+
+@pytest.mark.parametrize("dim, alphas", [
+    (0, ALPHAS), (3, [0.5, 0.0]), (3, [0.5, -0.25]), (3, [1.5, 0.5]),
+    (3, [0.5, float("nan")]), (3, [float("inf")])])
+def test_stack_refuses_what_an_averaged_op_refuses(dim, alphas):
+    with pytest.raises(ValueError) as from_op:
+        for alpha in alphas:
+            AveragedOp(lambda x: x, dim=dim, alpha=alpha)
+    with pytest.raises(ValueError) as from_stack:
+        RowStack(_scaled_rows, dim, alphas, "row")
+    assert str(from_stack.value) == str(from_op.value)
+
+
+def test_stack_is_a_read_only_sequence_like_its_list():
+    stack = RowStack(_scaled_rows, 3, ALPHAS, "row")
+    x = np.array([1.0, -2.0, 6.0])
+    assert len(stack) == 5 and bool(stack)
+    for k, op in zip(range(-5, 5), [*stack, *stack]):
+        member = stack[k]
+        assert isinstance(member, AveragedOp)
+        assert (member.name, member.alpha, member.dim, member.lipschitz) == (
+            op.name, op.alpha, 3, None)
+        assert op.name == f"row[{k % 5 + 1}]" and op.alpha == ALPHAS[k]
+        assert np.array_equal(apply(member, x), x / (k % 5 + 2.0))
+    assert [op.name for op in stack] == [f"row[{k}]" for k in range(1, 6)]
+    assert stack[np.int64(2)].name == "row[3]"
+    for k in (5, -6, 2**63):
+        with pytest.raises(IndexError):
+            stack[k]
+    with pytest.raises(TypeError):
+        stack[1.0]
+    with pytest.raises(ValueError):
+        stack.alphas[0] = 0.5
+
+
+@pytest.mark.parametrize("runner", [run, run_economical],
+                         ids=["plain", "economical"])
+def test_inadmissible_alpha_is_refused_as_for_its_list(runner):
+    stack = RowStack(_scaled_rows, 3, [0.5, 0.25, 0.9995, 1.0, 0.5], "row")
+    cfg = SolverConfig(weights=[0.2] * 5, schedule=make_cyclic(5, 1),
+                       epsilon=1e-3, max_iters=5)
+    messages = []
+    for ts in (stack, list(stack)):
+        with pytest.raises(ValueError) as caught:
+            runner(AveragedOp(lambda x: x, dim=3, alpha=0.5), ts, cfg,
+                   np.ones(3))
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("operator 'row[3]' declares alpha=0.9995")
+
+
+@pytest.mark.parametrize("build", [
+    least_squares_feasibility,
+    lambda A, eta: lasso_problem(A, eta, reg=0.05)],
+    ids=["least_squares", "lasso"])
+def test_row_builders_keep_no_per_row_objects(build):
+    """Over 20,000 rows a builder keeps a few floats a row (alphas, weights),
+    not an operator, a partial and a name per row (~530 bytes)."""
+    m = 20_000
+    A, eta = synthetic_unit_rows(4, m, seed=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prob = build(A, eta)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(prob.ts) == m
+    assert retained < 64 * m
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -171,7 +253,7 @@ def test_non_finite_row_is_named_as_apply_names_it(name):
 
 
 def _stack(kernel, m=8, dim=3):
-    return RowStack(kernel, dim, [0.5] * m, [f"row{k}" for k in range(m)])
+    return RowStack(kernel, dim, [0.5] * m, "row")
 
 
 def test_first_non_finite_row_of_the_block_is_named():
@@ -181,9 +263,9 @@ def test_first_non_finite_row_of_the_block_is_named():
         return out
 
     ts = _stack(kernel)
-    with pytest.raises(NonFiniteError, match="operator 'row5' "):
+    with pytest.raises(NonFiniteError, match=r"operator 'row\[6\]' "):
         ts.eval_block(np.array([1, 5, 3]), np.zeros(3))
-    with pytest.raises(NonFiniteError, match="operator 'row3' "):
+    with pytest.raises(NonFiniteError, match=r"operator 'row\[4\]' "):
         ts.eval_block(slice(None), np.zeros(3))
 
 
