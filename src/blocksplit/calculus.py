@@ -47,15 +47,20 @@ class Box(ConvexSet):
 
 
 class Halfspace(ConvexSet):
-    """{x : <a, x> <= b} with a != 0."""
+    """{x : <a, x> <= b} with <a, a> a positive, finite, normal float: a
+    subnormal or infinite <a, a> would make the projection overflow or
+    leave x where it is."""
 
     def __init__(self, a, b):
         self.a = as_point(a)
         self.b = float(b)
         self.dim = self.a.size
-        self._aa = float(np.dot(self.a, self.a))
-        if self._aa == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
+        with np.errstate(over="ignore", under="ignore"):
+            self._aa = float(np.dot(self.a, self.a))
+        tiny = float(np.finfo(float).tiny)
+        if not tiny <= self._aa < np.inf:
+            raise ValueError(f"{type(self).__name__.lower()} normal a must have "
+                             f"<a, a> in [{tiny!r}, inf), got {self._aa!r}")
 
     def project(self, x):
         x = as_point(x, dim=self.dim)
@@ -65,16 +70,8 @@ class Halfspace(ConvexSet):
         return x - (excess / self._aa) * self.a
 
 
-class Hyperplane(ConvexSet):
-    """{x : <a, x> = b} with a != 0."""
-
-    def __init__(self, a, b):
-        self.a = as_point(a)
-        self.b = float(b)
-        self.dim = self.a.size
-        self._aa = float(np.dot(self.a, self.a))
-        if self._aa == 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
+class Hyperplane(Halfspace):
+    """{x : <a, x> = b}, with ``a`` as for ``Halfspace``."""
 
     def project(self, x):
         x = as_point(x, dim=self.dim)

@@ -18,9 +18,9 @@ from . import problems
 from .calculus import set_from_spec
 from .operators import NonFiniteError, as_int, as_point, norm
 # validate_covering is not called here; bench/bench_trace.py patches it by name
-from .schedules import (CoveringError, as_block, blocks_from_runs,
-                        check_concentrating, mu_row, schedule_from_spec,
-                        make_full, validate_covering)
+from .schedules import (Block, CoveringError, as_block, check_concentrating,
+                        mu_row, schedule_from_spec, make_full,
+                        validate_covering)
 from .solver import (SeededDecayErrors, SolverConfig, fejer_audit,
                      fejer_audit_arrays, linear_rate_audit_arrays,
                      require_error_free, run, run_economical)
@@ -155,8 +155,6 @@ def synthetic_unit_rows(n_features, m, seed, noise=0.3):
 # trace persistence
 
 TRACE_HEADER = "n,residual,step,err0,errsum,block,dist_ref"
-# a bound on trace block members: index arithmetic on them stays in int64
-_MEMBER_BOUND = 2**62
 
 
 def _fmt(v):
@@ -180,10 +178,9 @@ def write_trace_csv(path, trace):
 def read_trace_csv(path):
     """Load a persisted trace into parallel lists keyed by column name.
 
-    Each block is read into a ``Block``, as the audits take it: its members
-    are parsed with ``int`` line by line, then every block is sorted and
-    deduplicated in one ``blocks_from_runs`` call. A member that is not an
-    integer, or beyond +-2**62, makes its line malformed."""
+    Each block is read into a ``Block``, as the audits take it, as its line
+    is parsed. A member that is not an integer, or that ``Block`` refuses
+    (beyond +-2**62), makes its line malformed."""
     try:
         text = Path(path).read_text().strip().splitlines()
     except OSError as exc:
@@ -191,8 +188,6 @@ def read_trace_csv(path):
     if not text or text[0] != TRACE_HEADER:
         raise ConfigError(f"{path}: not a blocksplit trace (bad header)")
     out = {key: [] for key in TRACE_HEADER.split(",")}
-    # the members of every nonempty block, each block's count, its row
-    members, counts, where = [], [], []
     for k, line in enumerate(text[1:], 2):
         try:
             n, residual, step, err0, errsum, block, dist = line.split(",")
@@ -201,19 +196,11 @@ def read_trace_csv(path):
                              ("err0", err0), ("errsum", errsum),
                              ("dist_ref", dist)):
                 out[key].append(float(raw) if raw else None)
-            if block:
-                run = [int(v) for v in block.split("|")]
-                if not -_MEMBER_BOUND <= min(run) <= max(run) <= _MEMBER_BOUND:
-                    raise ValueError("block member out of range")
-                members += run
-                counts.append(len(run))
-                where.append(k - 2)
-            out["block"].append(None)
+            out["block"].append(Block(int(v) for v in block.split("|"))
+                                if block else None)
         except ValueError as exc:
             raise ConfigError(f"{path}: line {k}: malformed trace line "
                               f"{line!r} ({exc})") from None
-    for row, blk in zip(where, blocks_from_runs(members, counts)):
-        out["block"][row] = blk
     return out
 
 
@@ -315,6 +302,10 @@ def _problem_data(pcfg, base_dir):
     raise ConfigError("problem needs either data_csv or inline rows/targets")
 
 
+# set-up arithmetic that overflows on the config's numbers (a far ball
+# center squared in the averagedness certificate, say) refuses the config in
+# one line instead of leaking a RuntimeWarning
+@np.errstate(over="raise", invalid="raise")
 def build_problem_from_config(pcfg, base_dir="."):
     """Instantiate a named problem builder from its config section."""
     try:
@@ -348,7 +339,7 @@ def build_problem_from_config(pcfg, base_dir="."):
                 [projector_op(s) for s in sets], weights=weights)
     except ConfigError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, FloatingPointError) as exc:
         raise ConfigError(f"invalid {variant} problem config: {exc}") from exc
     raise ConfigError(f"unknown problem variant {pcfg.get('variant')!r}")
 

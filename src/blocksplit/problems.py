@@ -4,6 +4,11 @@ Each builder emits the outer operator, the inner operator family, and the
 weights, with the fixed-point inclusion required by the solver holding by
 construction. All builders are autonomous except the cohypomonotone one,
 whose resolvent indices may vary per iteration.
+
+Lasso, logistic regression and least-squares feasibility are one problem,
+proximal gradient over sum_i w_i loss(<a_i, x>, eta_i) with or without an
+l1 term, and share one builder: one row kernel, one aggregated gradient and
+one objective, with only the loss and the l1 weight changing.
 """
 
 from __future__ import annotations
@@ -48,12 +53,8 @@ class BuiltProblem:
         return self.ts(i, n)
 
 
-def _uniform(m):
-    return np.full(m, 1.0 / m)
-
-
 def _resolve_weights(weights, m):
-    w = _uniform(m) if weights is None else check_weights(weights)
+    w = np.full(m, 1.0 / m) if weights is None else check_weights(weights)
     if w.size != m:
         raise ValueError(f"expected {m} weights")
     return np.asarray(w, dtype=float)
@@ -291,50 +292,58 @@ def _rows_and_targets(rows, targets, what):
     return A, eta, sq_norms
 
 
-def _square_loss_grads(A, eta):
-    """Row kernel of the gradients of x -> (<a_i, x> - eta_i)^2."""
-    def grads(idx, x):
-        Ai = A[idx]
-        return (2.0 * ((Ai * x).sum(axis=1) - eta[idx]))[:, None] * Ai
+def _row_loss_problem(A, eta, sq_norms, loss, dloss, curvature, reg, gamma,
+                      weights, name, meta=None):
+    """Proximal gradient over sum_i w_i loss(<a_i, x>, eta_i), plus
+    ``reg`` ||x||_1 when ``reg`` is set (T_0 is the identity otherwise).
 
-    return grads
+    ``dloss`` is d loss / dt and ``curvature`` bounds d^2 loss / dt^2, so
+    row i's gradient is 1/(curvature ||a_i||^2)-cocoercive. ``A``, ``eta``
+    and ``sq_norms`` come from ``_rows_and_targets``; ``weights`` are
+    resolved once, by ``build_forward_backward``."""
+    if reg is not None and not 0 < reg < np.inf:
+        raise ValueError(f"l1 weight must be positive and finite, got {reg!r}")
+
+    def grads(idx, x):
+        # the row's own dot product keeps a block bit-identical to its rows
+        Ai = A[idx]
+        return dloss((Ai * x).sum(axis=1), eta[idx])[:, None] * Ai
+
+    def smooth_grad(x):
+        # from A x, apart from the row kernel, as an independent check of it
+        return A.T @ (prob.weights * dloss(A @ x, eta))
+
+    def objective(x):
+        value = float(np.dot(prob.weights, loss(A @ x, eta)))
+        return value if reg is None else reg * float(np.abs(x).sum()) + value
+
+    meta = {"smooth_grad": smooth_grad, "rows": A, "targets": eta,
+            **(meta or {})}
+    if reg is None:
+        f0_prox = lambda g, x: x
+    else:
+        f0_prox = lambda g, x: prox_l1(x, g * reg)
+        meta["l1_weight"] = reg
+    prob = build_prox_grad(f0_prox, grads, 1.0 / (curvature * sq_norms),
+                           A.shape[1], gamma, weights, objective, meta)
+    prob.name = name
+    return prob
+
+
+def _square_loss(t, e):
+    r = t - e
+    return r * r
+
+
+def _square_dloss(t, e):
+    return 2.0 * (t - e)
 
 
 def lasso_problem(rows, targets, reg, gamma=None, weights=None):
     """l1-regularized least squares: alpha ||x||_1 + sum_i w_i (<x, a_i> - eta_i)^2."""
     A, eta, sq_norms = _rows_and_targets(rows, targets, "target")
-    if not 0 < reg < np.inf:
-        raise ValueError(f"l1 weight must be positive and finite, got {reg!r}")
-    m, dim = A.shape
-    betas = 1.0 / (2.0 * sq_norms)
-    w = _resolve_weights(weights, m)
-
-    def smooth_grad(x):
-        r = A @ x - eta
-        return A.T @ (2.0 * w * r)
-
-    def objective(x):
-        r = A @ x - eta
-        return reg * float(np.abs(x).sum()) + float(np.dot(w, r * r))
-
-    prob = build_prox_grad(
-        f0_prox=lambda g, x: prox_l1(x, g * reg),
-        grads=_square_loss_grads(A, eta),
-        betas=betas,
-        dim=dim,
-        gamma=gamma,
-        weights=w,
-        objective=objective,
-        meta={"l1_weight": reg, "smooth_grad": smooth_grad,
-              "rows": A, "targets": eta},
-    )
-    prob.name = "lasso"
-    return prob
-
-
-def _sigmoid(t):
-    # tanh form is overflow-safe for any float t
-    return 0.5 * (1.0 + np.tanh(0.5 * t))
+    return _row_loss_problem(A, eta, sq_norms, _square_loss, _square_dloss,
+                             2.0, reg, gamma, weights, "lasso")
 
 
 def logistic_problem(rows, labels, reg, gamma=None, weights=None):
@@ -342,38 +351,11 @@ def logistic_problem(rows, labels, reg, gamma=None, weights=None):
     A, eta, sq_norms = _rows_and_targets(rows, labels, "label")
     if not set(np.unique(eta)) <= {0.0, 1.0}:
         raise ValueError("labels must be 0 or 1")
-    if not 0 < reg < np.inf:
-        raise ValueError(f"l1 weight must be positive and finite, got {reg!r}")
-    m, dim = A.shape
-    betas = 4.0 / sq_norms
-    w = _resolve_weights(weights, m)
-
-    def grads(idx, x):
-        Ai = A[idx]
-        return (_sigmoid((Ai * x).sum(axis=1)) - eta[idx])[:, None] * Ai
-
-    def smooth_grad(x):
-        s = _sigmoid(A @ x) - eta
-        return A.T @ (w * s)
-
-    def objective(x):
-        t = A @ x
-        vals = np.logaddexp(0.0, t) - eta * t
-        return reg * float(np.abs(x).sum()) + float(np.dot(w, vals))
-
-    prob = build_prox_grad(
-        f0_prox=lambda g, x: prox_l1(x, g * reg),
-        grads=grads,
-        betas=betas,
-        dim=dim,
-        gamma=gamma,
-        weights=w,
-        objective=objective,
-        meta={"l1_weight": reg, "smooth_grad": smooth_grad,
-              "rows": A, "targets": eta},
-    )
-    prob.name = "logistic"
-    return prob
+    # the derivative is sigmoid(t) - e, in a tanh form safe for any float t
+    return _row_loss_problem(A, eta, sq_norms,
+                             lambda t, e: np.logaddexp(0.0, t) - e * t,
+                             lambda t, e: 0.5 * (1.0 + np.tanh(0.5 * t)) - e,
+                             0.25, reg, gamma, weights, "logistic")
 
 
 # ---------------------------------------------------------------------------
@@ -431,35 +413,19 @@ def least_squares_feasibility(rows, targets, gamma=None, weights=None):
     singleton targets, squared distance penalties, no hard constraint.
 
     With phi = t^2 and D_i = {eta_i} the penalty is (<a_i, x> - eta_i)^2, so
-    this is proximal gradient with f_0 = 0: T_0 is the identity (the
-    projector onto the whole space) and the forward steps share one row
-    kernel.
+    this is the square loss of ``lasso_problem`` with f_0 = 0: T_0 is the
+    identity (the projector onto the whole space).
     """
     A, eta, sq_norms = _rows_and_targets(rows, targets, "target")
-    m, dim = A.shape
-    w = _resolve_weights(weights, m)
-
-    def objective(x):
-        r = A @ x - eta
-        return float(np.dot(w, r * r))
 
     def feasibility_gap(x):
         return float(np.abs(A @ x - eta).max())
 
-    betas = 1.0 / (2.0 * sq_norms)
-    prob = build_prox_grad(
-        f0_prox=lambda g, x: x,
-        grads=_square_loss_grads(A, eta),
-        betas=betas,
-        dim=dim,
-        gamma=gamma,
-        weights=w,
-        objective=objective,
-        meta={"feasibility_gap": feasibility_gap, "beta": float(betas.min()),
-              "rows": A, "targets": eta},
-    )
-    prob.name = "least_squares_feasibility"
-    return prob
+    return _row_loss_problem(
+        A, eta, sq_norms, _square_loss, _square_dloss, 2.0, None, gamma,
+        weights, "least_squares_feasibility",
+        meta={"feasibility_gap": feasibility_gap,
+              "beta": 1.0 / (2.0 * float(sq_norms.max()))})
 
 
 def alternating_projections(C, D):

@@ -14,6 +14,7 @@ everywhere in the package.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,9 @@ class Block:
     slice makes a view where the index array gathers a copy, so the
     solver's per-iteration reads, writes and row kernel take ``rows``.
     Members may come as any iterable; duplicates are dropped, and members
-    must be integers (ValueError otherwise). Their range is the schedule's
-    to check.
+    must be integers within +-2**62, so that index arithmetic on them stays
+    in int64 (ValueError otherwise, naming the members beyond). Their range
+    within 1..m is the schedule's to check.
     """
 
     __slots__ = ("idx", "rows")
@@ -65,12 +67,19 @@ class Block:
         if not members:
             return cls.from_sorted(np.empty(0, np.intp))
         try:
-            idx = np.array(sorted(members))
+            ordered = sorted(members)
         except TypeError:           # unordered kinds, such as 1 and "a"
-            idx = None
-        if idx is None or idx.dtype.kind not in "iu":
-            raise ValueError(f"block members must be integers, got "
-                             f"{sorted(members, key=repr)}")
+            ordered = sorted(members, key=repr)
+        idx, bound = np.array(ordered), 2**62
+        if (idx.dtype.kind not in "iu" or ordered[0] < -bound
+                or ordered[-1] > bound):
+            # numpy reads members beyond int64 as uint64, float or object
+            wide = [int(i) for i in ordered if isinstance(i, numbers.Integral)
+                    and not -bound <= i <= bound]
+            if wide:
+                raise ValueError(f"block members must be integers within "
+                                 f"+-2**62, got {wide}")
+            raise ValueError(f"block members must be integers, got {ordered}")
         idx = idx.astype(np.intp, copy=False)
         idx -= 1
         return cls.from_sorted(idx)
@@ -79,21 +88,16 @@ class Block:
     def from_sorted(cls, idx):
         """The Block over ``idx``, a sorted array of distinct 0-based
         ``np.intp`` indices, taken as is: not checked, not copied, and made
-        read-only."""
-        idx.flags.writeable = False
-        if idx.size and idx[0] >= 0 and idx[-1] - idx[0] == idx.size - 1:
-            return cls._of(idx, slice(int(idx[0]), int(idx[-1]) + 1))
-        return cls._of(idx, idx)
-
-    @classmethod
-    def _of(cls, idx, rows):
-        """The Block over the read-only ``idx`` and ``rows``. Its callers
-        make ``rows`` a slice when the sorted, distinct members span exactly
-        their count and start at 1 or above: a start below would wrap in a
+        read-only. ``rows`` is a slice when the members span exactly their
+        count and start at 1 or above: a start below would wrap in a
         slice."""
+        idx.flags.writeable = False
         self = object.__new__(cls)
         _set_idx(self, idx)
-        _set_rows(self, rows)
+        if idx.size and idx[0] >= 0 and idx[-1] - idx[0] == idx.size - 1:
+            _set_rows(self, slice(int(idx[0]), int(idx[-1]) + 1))
+        else:
+            _set_rows(self, idx)
         return self
 
     def __setattr__(self, name, value):
@@ -134,38 +138,6 @@ class Block:
 
 # the slots' own setters: Block.__setattr__ refuses every assignment
 _set_idx, _set_rows = Block.idx.__set__, Block.rows.__set__
-
-
-def blocks_from_runs(members, counts):
-    """Blocks built together from consecutive runs of ``members``: block k
-    is ``Block(run k)``, run k being the next ``counts[k]`` members, each
-    count at least 1. One sort orders and deduplicates every run, and each
-    Block's ``idx`` is a read-only view of one shared array, so a long list
-    of small Blocks (a trace read back) makes no array per block. Members
-    must be integers (ValueError otherwise)."""
-    if not len(counts):
-        return []
-    flat = np.array(members)
-    if flat.dtype.kind not in "iu":
-        raise ValueError("block members must be integers")
-    owner = np.repeat(np.arange(len(counts)), counts)
-    order = np.lexsort((flat, owner))
-    owner, idx = owner[order], flat[order].astype(np.intp) - 1
-    # after the sort, a duplicate equals its predecessor in the same run
-    keep = np.ones(idx.size, dtype=bool)
-    keep[1:] = (owner[1:] != owner[:-1]) | (idx[1:] != idx[:-1])
-    owner, idx = owner[keep], idx[keep]
-    idx.flags.writeable = False
-    stops = np.cumsum(np.bincount(owner, minlength=len(counts)))
-    starts = np.concatenate(([0], stops[:-1]))
-    blocks = []
-    for start, stop, lo, hi in zip(starts.tolist(), stops.tolist(),
-                                   idx[starts].tolist(),
-                                   idx[stops - 1].tolist()):
-        run = idx[start:stop]
-        blocks.append(Block._of(run, slice(lo, hi + 1) if lo >= 0
-                                and hi - lo == stop - start - 1 else run))
-    return blocks
 
 
 def as_block(members):

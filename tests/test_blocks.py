@@ -21,7 +21,7 @@ from blocksplit.harness import (TRACE_HEADER, ConfigError, read_trace_csv,
 from blocksplit.operators import apply, check_weights
 from blocksplit.problems import least_squares_feasibility
 from blocksplit.schedules import (Block, BlockSchedule, CoveringError,
-                                  blocks_from_runs, check_concentrating, lag_identity_check,
+                                  check_concentrating, lag_identity_check,
                                   last_activation, make_cyclic, make_explicit,
                                   make_quasicyclic_random, mu_row,
                                   record_activation, validate_covering)
@@ -91,6 +91,26 @@ class TestBlock:
     def test_non_integer_members_rejected(self, members):
         with pytest.raises(ValueError, match="block members must be integers"):
             Block(members)
+
+    @pytest.mark.parametrize("members, wide", [
+        ([2**64 - 1], [2**64 - 1]), ([2**63], [2**63]),
+        ([2**63, 1, 2, 3], [2**63]), ([-2**62 - 1, 5], [-2**62 - 1]),
+        ([-2**62 - 1, 5, 2**70], [-2**62 - 1, 2**70]),
+        ([np.uint64(2**63)], [2**63]),
+    ], ids=["uint64-max", "2**63", "mixed", "below", "both-ends",
+            "numpy-uint64"])
+    def test_members_beyond_the_int64_bound_are_named_not_wrapped(self, members,
+                                                                 wide):
+        # numpy would read these as uint64 or float64, and the 0-based intp
+        # index would wrap: list(Block([2**64 - 1])) was [-1]
+        with pytest.raises(ValueError, match=re.escape(
+                f"block members must be integers within +-2**62, got {wide}")):
+            Block(members)
+
+    def test_members_at_the_bound_are_kept(self):
+        blk = Block([-2**62, 2**62])
+        assert list(blk) == [-2**62, 2**62]
+        assert blk.idx.tolist() == [-2**62 - 1, 2**62 - 1]
 
 
 member_lists = st.integers(1, 40).flatmap(lambda m: st.tuples(
@@ -181,30 +201,6 @@ def test_solver_loop_reads_only_idx_and_rows(kind, runner):
     assert type(res.trace[0].block) is SealedBlock
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.lists(st.lists(st.integers(-3, 50), min_size=1, max_size=20),
-                max_size=12))
-@example([[4, 2, 3, 3], [5, 1, 2], [0, 1], [-1]])
-def test_blocks_from_runs_match_a_block_per_run(runs):
-    blocks = blocks_from_runs([i for run in runs for i in run],
-                              [len(run) for run in runs])
-    assert len(blocks) == len(runs)
-    for blk, run in zip(blocks, runs):
-        ref = Block(run)
-        assert type(blk) is Block and blk == ref
-        assert np.array_equal(blk.idx, ref.idx) and blk.idx.dtype == np.intp
-        assert not blk.idx.flags.writeable
-        if isinstance(ref.rows, slice):
-            assert blk.rows == ref.rows
-        else:
-            assert blk.rows is blk.idx
-
-
-def test_blocks_from_runs_rejects_non_integers():
-    with pytest.raises(ValueError, match="block members must be integers"):
-        blocks_from_runs([1, 2.5], [2])
-
-
 def test_trace_reader_sorts_deduplicates_and_bounds_members(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text(f"{TRACE_HEADER}\n0,1.0,0.5,,,3|1|3,2.0\n1,,,,,,1.0\n")
@@ -214,7 +210,8 @@ def test_trace_reader_sorts_deduplicates_and_bounds_members(tmp_path):
     path.write_text(f"{TRACE_HEADER}\n0,1.0,0.5,,,1|{2**70},2.0\n")
     with pytest.raises(ConfigError, match=re.escape(
             f"line 2: malformed trace line '0,1.0,0.5,,,1|{2**70},2.0' "
-            f"(block member out of range)")):
+            f"(block members must be integers within +-2**62, "
+            f"got [{2**70}])")):
         read_trace_csv(path)
 
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,32 @@ class TestProjections:
     def test_halfspace(self):
         hs = Halfspace([1.0, 0.0], 0.0)
         assert np.allclose(hs.project([2.0, 3.0]), [0.0, 3.0])
+
+    @pytest.mark.parametrize("cls", [Halfspace, Hyperplane])
+    @pytest.mark.parametrize("a, aa", [
+        ([1e200, 1e200], "inf"), ([1e308, 1e308], "inf"),
+        ([1e-160, 0.0], "1e-320"), ([1e-200, 0.0], "0.0"), ([0.0, 0.0], "0.0"),
+    ], ids=["overflow", "overflow-max", "subnormal", "underflow", "zero"])
+    def test_degenerate_normal_is_refused_without_a_warning(self, cls, a, aa):
+        # an infinite <a, a> made the projection the identity, a subnormal
+        # one overflowed it; both warned on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{cls.__name__.lower()} normal a must have <a, a> in "
+                    f"[2.2250738585072014e-308, inf), got {aa}")):
+                cls(a, 0.5)
+
+    @pytest.mark.parametrize("cls", [Halfspace, Hyperplane])
+    def test_normal_near_the_bounds_projects(self, cls):
+        for scale in (1e150, 1e-150):
+            s = cls([scale, 0.0], 0.0)
+            assert s._aa == scale * scale
+            assert np.allclose(s.project([2.0, 3.0]), [0.0, 3.0], atol=1e-12)
+        assert np.array_equal(Hyperplane([1.0, 0.0], 0.0).project([-2.0, 3.0]),
+                              [0.0, 3.0])
+        assert np.array_equal(Halfspace([1.0, 0.0], 0.0).project([-2.0, 3.0]),
+                              [-2.0, 3.0])
 
     def test_ball_radial_scaling(self):
         ball = Ball([0.0, 0.0], 1.0)

@@ -1,12 +1,13 @@
 """The `solve` exit-code contract as a property over generated configs.
 
-Each example edits one or two leaves or sections of a base config,
-replacing or deleting them, and runs `blocksplit solve` in-process with
-every warning turned into an error and under a 10 s alarm, so a hang fails
-its example instead of stalling the suite. The bases are the README's lasso
-config and small inline configs for least squares (cyclic, economical),
-logistic regression (quasicyclic, with injected errors) and a common fixed
-point of a ball and a halfspace (explicit blocks). Whatever the edit,
+Each example edits one or two sections, leaves, or sets (and keys of a
+set) of a base config, replacing or deleting them, and runs `blocksplit
+solve` in-process with every warning turned into an error and under a 10 s
+alarm, so a hang fails its example instead of stalling the suite. The bases
+are the README's lasso config and small inline configs for least squares
+(cyclic, economical), logistic regression (quasicyclic, with injected
+errors), alternating projections onto a ball and a halfspace, and a common
+fixed point of a ball and a halfspace (explicit blocks). Whatever the edit,
 `cli.main` returns a documented exit code and raises nothing, and exits 2,
 3 and 4 print exactly one `error:` line on stderr.
 """
@@ -61,6 +62,16 @@ BASES = {
         "audits": {"fejer": True},
         "output": OUTPUT,
     },
+    "alternating_projections": {
+        "problem": {"variant": "alternating_projections",
+                    "C": {"set": "ball", "center": [0, 0], "radius": 1},
+                    "D": {"set": "halfspace", "a": [1, 1], "b": 3}},
+        "schedule": {"type": "cyclic", "m": 1, "block_size": 1},
+        "solver": {"max_iters": 50000, "tol_residual": 1e-10,
+                   "check_every": 10, "x0": [3, 2]},
+        "audits": {"fejer": True},
+        "output": OUTPUT,
+    },
     "common_fixed_point": {
         "problem": {"variant": "common_fixed_point",
                     "sets": [{"set": "ball", "center": [0, 0], "radius": 1},
@@ -75,7 +86,7 @@ BASES = {
 }
 DELETE = object()
 VALUES = [DELETE, None, True, False, "", "x", -1, 0, 1, 1.5, 1e308, -1e308,
-          2**63, 2**70, [], {}, 1e-300]
+          2**63, 2**70, [], {}, 1e-300, [1e200, 1e200]]
 EXIT_CODES = range(5)
 TIME_BOUND_S = 10       # a 200-iteration solve needs a fraction of that
 
@@ -107,10 +118,25 @@ def workdir(tmp_path_factory):
     return path
 
 
-def paths(base):
-    """Every section of ``base`` and every leaf of a section."""
-    return [(section,) for section in base] + [
-        (section, key) for section, leaves in base.items() for key in leaves]
+def paths(node, prefix=()):
+    """Every key of every mapping in ``node``, and every mapping in a list,
+    reached through mappings and lists of mappings: a section, a leaf of a
+    section, a set of ``problem.sets`` and each key of that set."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = [(k, v) for k, v in enumerate(node) if isinstance(v, dict)]
+    else:
+        return []
+    return [path for key, value in items
+            for path in [prefix + (key,), *paths(value, prefix + (key,))]]
+
+
+def holds(owner, key):
+    """Whether an edit may set or delete ``owner[key]``: ``owner`` is a
+    mapping, or a list still long enough after earlier edits."""
+    return isinstance(owner, dict) or (
+        isinstance(owner, list) and isinstance(key, int) and key < len(owner))
 
 
 def edited(base, edits):
@@ -118,13 +144,17 @@ def edited(base, edits):
     for path, value in edits:
         owner = cfg
         for key in path[:-1]:
-            owner = owner.get(key)
-        if not isinstance(owner, dict):
-            continue        # an earlier edit replaced the section
-        if value is DELETE:
-            owner.pop(path[-1], None)
+            owner = owner.get(key) if isinstance(owner, dict) else (
+                owner[key] if holds(owner, key) else None)
+        key = path[-1]
+        if not holds(owner, key):
+            continue        # an earlier edit replaced or dropped the owner
+        if value is not DELETE:
+            owner[key] = copy.deepcopy(value)   # [] and {} are shared
+        elif isinstance(owner, dict):
+            owner.pop(key, None)
         else:
-            owner[path[-1]] = copy.deepcopy(value)   # [] and {} are shared
+            del owner[key]
     return cfg
 
 

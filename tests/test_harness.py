@@ -407,6 +407,36 @@ class TestCLI:
         assert json.loads(captured.out)["audits"]["covering"]
         assert not [w for w in caught if w.category is RuntimeWarning]
 
+    @pytest.mark.parametrize("kind", ["halfspace", "hyperplane"])
+    @pytest.mark.parametrize("variant", ["common_fixed_point",
+                                         "alternating_projections"])
+    @pytest.mark.parametrize("a, aa", [
+        ([1e200, 1e200], "inf"), ([1e308, 1e308], "inf"),
+        ([1e-160, 0], "1e-320"), ([1e-200, 0], "0.0")])
+    def test_solve_degenerate_normal_is_refused(self, tmp_path, capsys, kind,
+                                                variant, a, aa):
+        # an infinite <a, a> dropped the set from the run (exit 0), a
+        # subnormal or overflowing one warned before it exited
+        bad = {"set": kind, "a": a, "b": 0.5}
+        ball = {"set": "ball", "center": [0, 0], "radius": 1}
+        if variant == "common_fixed_point":
+            problem, m = {"variant": variant, "sets": [ball, bad]}, 2
+        else:
+            problem, m = {"variant": variant, "C": ball, "D": bad}, 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "problem": problem,
+            "schedule": {"type": "cyclic", "m": m, "block_size": 1},
+            "solver": {"x0": [3, 2]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.cli_error(capsys, ["solve", "--config",
+                                                str(cfg_path)])
+        assert code == EXIT_CONFIG
+        assert err == (f"error: invalid {variant} problem config: {kind} "
+                       f"normal a must have <a, a> in "
+                       f"[2.2250738585072014e-308, inf), got {aa}\n")
+
     @pytest.mark.parametrize("m", [2**63, 1e308])
     def test_solve_huge_cyclic_m_is_refused(self, tmp_path, capsys, m):
         # the spec's m is compared with the problem's before the schedule

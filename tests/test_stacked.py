@@ -163,6 +163,67 @@ def test_kernel_on_a_slice_equals_the_kernel_on_its_index_array(name,
     assert (np.ndarray in kinds) == (prob.m % block_size != 0)
 
 
+def _sigmoid(t):
+    return 0.5 * (1.0 + np.tanh(0.5 * t))
+
+
+# Each row builder's pieces, written out as each builder had them before the
+# three shared one: the row gradient on rows idx, the cocoercivity constants,
+# the aggregated gradient and the objective (the l1 term added by the test).
+# Least squares shares lasso's; its aggregated gradient used to go through
+# the row kernel and is now lasso's independent formula.
+ROW_FORMULAS = {
+    "lasso": (
+        lambda A, eta, idx, x: (2.0 * ((A[idx] * x).sum(axis=1) - eta[idx]))
+        [:, None] * A[idx],
+        lambda sq: 1.0 / (2.0 * sq),
+        lambda A, eta, w, x: A.T @ (2.0 * w * (A @ x - eta)),
+        lambda A, eta, w, x: float(np.dot(w, (A @ x - eta) * (A @ x - eta)))),
+    "logistic": (
+        lambda A, eta, idx, x: (_sigmoid((A[idx] * x).sum(axis=1)) - eta[idx])
+        [:, None] * A[idx],
+        lambda sq: 4.0 / sq,
+        lambda A, eta, w, x: A.T @ (w * (_sigmoid(A @ x) - eta)),
+        lambda A, eta, w, x: float(np.dot(
+            w, np.logaddexp(0.0, A @ x) - eta * (A @ x)))),
+}
+ROW_FORMULAS["least_squares"] = ROW_FORMULAS["lasso"]
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_row_builders_keep_their_formulas_bit_for_bit(name, weighted):
+    grad_rows, betas_of, smooth_grad, loss = ROW_FORMULAS[name]
+    base = BUILDERS[name]()
+    A, eta = base.meta["rows"], base.meta["targets"]
+    rng = np.random.default_rng(11)
+    w = rng.random(base.m) + 0.5 if weighted else np.full(base.m, 1.0 / base.m)
+    w /= w.sum()
+    reg = base.meta.get("l1_weight")
+    build = {"lasso": lasso_problem, "logistic": logistic_problem,
+             "least_squares": least_squares_feasibility}[name]
+    prob = build(A, eta, weights=w, **({} if reg is None else {"reg": reg}))
+    betas = betas_of((A * A).sum(axis=1))
+    gamma = 0.9 * 2.0 * float(betas.min())
+    assert prob.gamma == gamma
+    assert np.array_equal(prob.ts.alphas, gamma / (2.0 * betas))
+    assert np.array_equal(prob.weights, w)
+    for _ in range(4):
+        x = 3.0 * rng.standard_normal(prob.dim)
+        for idx in (np.array([3, 17, 18, 39]), slice(5, 12), slice(None)):
+            assert np.array_equal(prob.ts.kernel(idx, x),
+                                  x - gamma * grad_rows(A, eta, idx, x))
+        assert np.array_equal(prob.meta["smooth_grad"](x),
+                              smooth_grad(A, eta, w, x))
+        value = loss(A, eta, w, x)
+        if reg is not None:
+            value = reg * float(np.abs(x).sum()) + value
+        assert prob.objective(x) == value
+        assert np.array_equal(prob.t0(x), x if reg is None else
+                              np.sign(x) * np.maximum(np.abs(x) - gamma * reg,
+                                                      0.0))
+
+
 @pytest.mark.parametrize("runner", [run, run_economical],
                          ids=["plain", "economical"])
 def test_clean_stacked_run_never_re_runs_a_block_through_eval_block(
