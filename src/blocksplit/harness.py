@@ -180,7 +180,8 @@ def read_trace_csv(path):
 
     Each block is read into a ``Block``, as the audits take it, as its line
     is parsed. A member that is not an integer, or that ``Block`` refuses
-    (beyond +-2**62), makes its line malformed."""
+    (beyond +-2**62), makes its line malformed, and so does an ``n`` other
+    than the line's position among the records (0, 1, 2, ...)."""
     try:
         text = Path(path).read_text().strip().splitlines()
     except OSError as exc:
@@ -191,6 +192,9 @@ def read_trace_csv(path):
     for k, line in enumerate(text[1:], 2):
         try:
             n, residual, step, err0, errsum, block, dist = line.split(",")
+            if int(n) != k - 2:
+                raise ValueError(f"n must count the records from 0: "
+                                 f"expected {k - 2}, got {n}")
             out["n"].append(int(n))
             for key, raw in (("residual", residual), ("step", step),
                              ("err0", err0), ("errsum", errsum),

@@ -278,11 +278,21 @@ class SolverResult:
 # ---------------------------------------------------------------------------
 # operator families
 
-def _families(t0, ts, m, epsilon):
-    """``t0f(n)`` and ``tf(i, n)``: T_{0,n} and T_{i,n}, each admissible,
-    i.e. declaring alpha < 1/(1+epsilon). A fixed T0 and a sequence of
-    operators are checked once here, a family's member at every call."""
-    limit = 1.0 / (1.0 + epsilon)
+def _families(t0, ts, m, epsilon=None, K=1):
+    """``t0f(n)``, T_{0,n}, and ``inner``, the one evaluator of the inner
+    operators. Each must declare alpha < 1/(1+epsilon) (unchecked for
+    ``epsilon`` None): a fixed T0 and a sequence here, a family's member at
+    every call. ``inner(x, block, n)`` is the rows T_{i,n} x, i in ``block``;
+    given the run's last activations ``last``, all m rows T_{i,c(i,n)} x,
+    c(i, n) being i's last activation in {n-K+1, ..., n}, block n included,
+    or n if none. Only a family builds these lags. A RowStack's rows are one
+    ``kernel`` call at the finite ``x`` with tuple compares of the shapes (a
+    mismatch goes through ``eval_block``, which raises ``apply``'s error),
+    not scanned: a non-finite row makes the weighted mean non-finite, which
+    ``_outer`` checks. ``strict=True`` re-runs a stack's rows through
+    ``eval_block`` to name a bad row; ``apply`` validated per-operator rows.
+    """
+    limit = math.inf if epsilon is None else 1.0 / (1.0 + epsilon)
 
     def checked(op):
         if op.alpha >= limit:
@@ -298,64 +308,74 @@ def _families(t0, ts, m, epsilon):
         t0f = lambda n: checked(t0(n))
     else:
         raise TypeError("t0 must be an AveragedOp or a callable n -> AveragedOp")
-    if isinstance(ts, (list, tuple, RowStack)):
-        if len(ts) != m:
-            raise ValueError(f"expected {m} operators, got {len(ts)}")
-        if isinstance(ts, RowStack):
-            # one compare of the whole array; only a bad member is built
-            bad = np.flatnonzero(ts.alphas >= limit)
-            if bad.size:
-                checked(ts[bad[0]])
-        else:
-            for op in ts:
-                checked(op)
-        tf = lambda i, n: ts[i - 1]
+    if isinstance(ts, (list, tuple, RowStack)) and len(ts) != m:
+        raise ValueError(f"expected {m} operators, got {len(ts)}")
+
+    if isinstance(ts, RowStack):
+        # one compare of the whole array; only a bad member is built
+        bad = np.flatnonzero(ts.alphas >= limit)
+        if bad.size:
+            checked(ts[bad[0]])
+
+        def inner(x, block, n, last=None, strict=False):
+            rows, count = ((block.rows, block.idx.size) if last is None
+                           else (slice(None), m))
+            if not strict and x.shape == (ts.dim,):
+                out = np.asarray(ts.kernel(rows, x), dtype=float)
+                if out.shape == (count, ts.dim):
+                    return out
+            return ts.eval_block(rows, x)
+        return t0f, inner
+
+    if isinstance(ts, (list, tuple)):
+        for op in ts:
+            checked(op)
+
+        def ops(block, n, last):
+            return ([ts[i] for i in block.idx.tolist()] if last is None
+                    else ts)
     elif callable(ts):
-        tf = lambda i, n: checked(ts(i, n))
+        def ops(block, n, last):
+            if last is None:
+                # each member is checked just before it is applied
+                return (checked(ts(i, n)) for i in (block.idx + 1).tolist())
+            lags = np.where(last < max(0, n - K + 1), n, last)
+            lags[block.rows] = n
+            return [checked(ts(i, c)) for i, c in enumerate(lags.tolist(), 1)]
     else:
         raise TypeError("ts must be a sequence of AveragedOp or a callable "
                         "(i, n) -> AveragedOp")
-    return t0f, tf
+
+    def inner(x, block, n, last=None, strict=False):
+        return None if strict else [apply(op, x) for op in ops(block, n, last)]
+    return t0f, inner
 
 
-def _stack_rows(stack, rows, count, x):
-    """``count`` rows of a RowStack's kernel at the finite point ``x``.
-
-    The point's and the output's shapes are tuple compares; a mismatch
-    re-runs ``eval_block``, which raises ``apply``'s error for it. The rows
-    are not scanned: they enter a weighted mean with strictly positive
-    weights, which is non-finite whenever a row is, and ``apply`` checks the
-    mean. Only when that check fails does the caller re-run the block through
-    ``eval_block``, whose error names the first non-finite row's operator.
-    """
-    if x.shape == (stack.dim,):
-        out = np.asarray(stack.kernel(rows, x), dtype=float)
-        if out.shape == (count, stack.dim):
-            return out
-    return stack.eval_block(rows, x)
+def _outer(t0, mean, inner, x, block, n, last=None):
+    """T0 at ``mean``, the weighted mean of ``inner(x, block, n, last)``; on a
+    non-finite result the rows are re-run strictly to name a bad row."""
+    try:
+        return apply(t0, mean)
+    except NonFiniteError:
+        inner(x, block, n, last, strict=True)
+        raise
 
 
-def _residual(x, t0, inner_ops, w):
-    stacked = isinstance(inner_ops, RowStack)
-    if stacked:
-        outs = _stack_rows(inner_ops, slice(None), len(inner_ops), x)
-    else:
-        outs = [apply(op, x) for op in inner_ops]
+def _residual(x, t0f, inner, w, block, n, last=None):
+    """|| x - T_{0,n}(sum_i w_i T_{i,c(i,n)} x) ||, asking for T0 last."""
+    outs = inner(x, block, n, last)
     # a non-finite row turns the TwoSum errors into NaN; apply reports it
     with np.errstate(invalid="ignore"):
         mean = kahan_weighted_sum(outs, w)
-    try:
-        return norm(x - apply(t0, mean))
-    except NonFiniteError:
-        if stacked:
-            inner_ops.eval_block(slice(None), x)    # names a bad row's operator
-        raise
+    return norm(x - _outer(t0f(n), mean, inner, x, block, n, last))
 
 
 def fixed_point_residual(x, t0, ts, weights):
     """|| x - T_0( sum_i w_i T_i x ) || for autonomous operators."""
     w = check_weights(weights)
-    return _residual(as_point(x), t0, ts, w)
+    t0f, inner = _families(t0, ts, w.size)
+    every = Block.from_sorted(np.arange(w.size, dtype=np.intp))
+    return _residual(as_point(x), t0f, inner, w, every, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +449,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
     dim = x.size
     if x_ref is not None:
         x_ref = as_point(x_ref, dim=dim)
-    t0f, tf = _families(t0, ts, m, cfg.epsilon)
-    # row-structured operators (a RowStack) evaluate a block in one call
-    stack = ts if isinstance(ts, RowStack) else None
-    # autonomous operators ignore n, so the check needs no lag lookup
-    autonomous = stack is not None or isinstance(ts, (list, tuple))
+    t0f, inner = _families(t0, ts, m, cfg.epsilon, K)
 
     if cfg.t_init is None:
         tbuf = np.tile(x, (m, 1))
@@ -460,15 +476,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
                               else (schedule.block(n), None, None))
         residual = None
         if at_cap or n % cfg.check_every == 0:
-            if autonomous:
-                check_ops = ts
-            else:
-                # c(i, n): last activation in the window {n-K+1, ..., n},
-                # block n included; n itself before the first activation
-                lags = np.where(last < max(0, n - K + 1), n, last)
-                lags[block.rows] = n
-                check_ops = [tf(i, c) for i, c in enumerate(lags.tolist(), 1)]
-            residual = _residual(x, t0f(n), check_ops, w)
+            residual = _residual(x, t0f, inner, w, block, n, last)
         converged = residual is not None and residual <= cfg.tol_residual
         rec = TraceRecord(n=n, x=x.copy(), residual=residual,
                           dist_ref=norm(x - x_ref) if x_ref is not None else None)
@@ -485,19 +493,14 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
             wi = w[rows]
             y = z - wi @ tbuf[rows]
 
-        if stack is not None:
-            outs = _stack_rows(stack, rows, block.idx.size, x)
-        else:
-            outs = [apply(tf(i, n), x) for i in (block.idx + 1).tolist()]
-        if cfg.error_model is None:
-            new = outs
-        else:
+        new = inner(x, block, n)
+        if cfg.error_model is not None:
             if errs is None:
                 pending = _error_window(cfg.error_model, schedule, block, n,
                                         cfg.max_iters, dim)
                 _, errs, norms = pending.pop()
             # row 0 is e_{0,n}, the others e_{i,n} for the active i
-            new = outs + errs[1:]
+            new = new + errs[1:]
             err_norms[rows] = norms[1:]
         # the block's new rows in the layout a gather of tbuf[idx] has, so
         # the economical update below need not gather them back
@@ -512,12 +515,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
             else:
                 mean = w @ tbuf
 
-        try:
-            x_next = apply(t0f(n), mean)
-        except NonFiniteError:
-            if stack is not None:
-                stack.eval_block(rows, x)   # names a bad row's operator
-            raise
+        x_next = _outer(t0f(n), mean, inner, x, block, n)
         rec.err0 = rec.errsum = 0.0
         if cfg.error_model is not None:
             # apply checked T0's output; the error row added to it is not
@@ -602,8 +600,9 @@ def fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack=None):
 
     where d_n is the distance of iterate n to the reference solution and
     c(i, n) is replayed from the recorded blocks, which must satisfy the
-    K-window covering condition (CoveringError otherwise). The default
-    ``slack`` is 1e-9 * (1 + d_0).
+    K-window covering condition (CoveringError otherwise); only the last
+    record may lack its block (ValueError otherwise). The default ``slack``
+    is 1e-9 * (1 + d_0).
     """
     w = _audit_weights(weights, K)
     dists = np.asarray(dists, dtype=float)
@@ -618,8 +617,8 @@ def fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack=None):
     last = np.full(w.size, -1)
     for n in range(dists.size - 1):
         if blocks[n] is None:
-            violations = violations[:n]
-            break
+            raise ValueError(f"no block at n={n}: only the last record may "
+                             f"have none")
         block = as_block(blocks[n])
         idx = block.idx
         if idx.size and (idx[0] < 0 or idx[-1] >= w.size):

@@ -1,4 +1,5 @@
-"""The `solve` exit-code contract as a property over generated configs.
+"""The `solve` and `audit` exit-code contracts as properties over
+generated configs and corrupted traces.
 
 Each example edits one or two sections, leaves, or sets (and keys of a
 set) of a base config, replacing or deleting them, and runs `blocksplit
@@ -10,6 +11,14 @@ errors), alternating projections onto a ball and a halfspace, and a common
 fixed point of a ball and a halfspace (explicit blocks). Whatever the edit,
 `cli.main` returns a documented exit code and raises nothing, and exits 2,
 3 and 4 print exactly one `error:` line on stderr.
+
+The `audit` property corrupts the trace of a small solve (two balls, cyclic
+blocks, 71 records) once: one cell edited, one line truncated, duplicated or
+deleted, or one non-UTF-8 byte inserted. It runs `blocksplit audit` the
+same way and holds it to exit 0, 1 or 2, with exactly one `error:` line on
+exit 2. It must exit 2 when the records no longer count n up from 0 (an
+edited n, a duplicated line, a deleted line other than the last), when a
+block before the last record is edited or emptied, and on a non-UTF-8 byte.
 """
 
 import contextlib
@@ -192,3 +201,91 @@ def test_solve_exit_code_contract(workdir, name, data):
     else:
         assert err == ""
         json.loads(out)
+
+
+BALLS = {
+    "problem": {"variant": "common_fixed_point",
+                "sets": [{"set": "ball", "center": [0, 0], "radius": 1},
+                         {"set": "ball", "center": [1, 0], "radius": 1}]},
+    "schedule": {"type": "cyclic", "m": 2, "block_size": 1},
+    "solver": {"x0": [3, 2]},
+    "audits": {"fejer": True},
+    "output": {"trace": "balls.csv"},
+}
+CELL_VALUES = ["", "x", "nan", "inf", "-1", "0", str(2**63), str(2**70)]
+N_COLUMN, BLOCK_COLUMN = 0, 5
+
+
+@pytest.fixture(scope="module")
+def balls_trace(tmp_path_factory):
+    """The directory of a small solve and the lines of the trace it wrote,
+    each with its newline."""
+    path = tmp_path_factory.mktemp("balls")
+    code, _, err = solve(path, BALLS)
+    assert code == 0, err
+    return path, (path / "balls.csv").read_bytes().splitlines(keepends=True)
+
+
+@st.composite
+def corruptions(draw, lines):
+    """(corrupted trace bytes, whether the audit must exit 2)."""
+    kind = draw(st.sampled_from(["cell", "truncate", "duplicate", "delete",
+                                 "byte"]), label="kind")
+    k = draw(st.integers(0, len(lines) - 1), label="line")
+    out = list(lines)
+    # data lines before the last: n counts from 0 and the block is present
+    middle = 0 < k < len(lines) - 1
+    if kind == "cell":
+        cells = lines[k].rstrip(b"\n").split(b",")
+        column = draw(st.integers(0, len(cells) - 1), label="column")
+        value = draw(st.sampled_from(CELL_VALUES), label="value").encode()
+        refused = value != cells[column] and (
+            column == N_COLUMN or (column == BLOCK_COLUMN and middle))
+        cells[column] = value
+        out[k] = b",".join(cells) + b"\n"
+    elif kind == "truncate":
+        cut = draw(st.integers(0, len(lines[k]) - 1), label="cut")
+        out[k] = lines[k][:cut] + b"\n"
+        refused = False
+    elif kind == "duplicate":
+        out.insert(k, lines[k])
+        refused = True
+    elif kind == "delete":
+        del out[k]
+        refused = k < len(lines) - 1
+    else:
+        raw = b"".join(lines)
+        at = draw(st.integers(0, len(raw)), label="at")
+        byte = draw(st.integers(0x80, 0xFF), label="byte")
+        return raw[:at] + bytes([byte]) + raw[at:], True
+    return b"".join(out), refused
+
+
+def audit(path):
+    """Exit code, stdout and stderr of `audit` on the trace at ``path``."""
+    out, err = io.StringIO(), io.StringIO()
+    with time_bound(TIME_BOUND_S), warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(["audit", "--trace", str(path), "--weights", "0.5,0.5",
+                         "--K", "2"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_audit_exit_code_contract(balls_trace, data):
+    workdir, lines = balls_trace
+    raw, refused = data.draw(corruptions(lines), label="corruption")
+    path = workdir / "corrupted.csv"
+    path.write_bytes(raw)
+    code, out, err = audit(path)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+    if refused:
+        assert code == 2, out

@@ -713,6 +713,11 @@ class TestCLI:
         ("halving.csv", "0.5,0.5", [(0, 5, "1||2")], [],
          "halving.csv: line 2: malformed trace line '0,1.0,1.0,,,1||2,1.0' "
          "(invalid literal for int() with base 10: '')"),
+        ("halving.csv", "0.5,0.5", [(1, 0, "17")], [],
+         "halving.csv: line 3: malformed trace line '17,0.5,0.5,,,1|2,0.5' "
+         "(n must count the records from 0: expected 1, got 17)"),
+        ("halving.csv", "0.5,0.5", [(0, 5, "")], [],
+         "no block at n=0: only the last record may have none"),
         ("halving.csv", "0.5,0.5", [(1, 6, "nan")], [],
          "distance at n=1 is not finite: nan"),
         ("halving.csv", "0.5,0.5", [(0, 6, "inf")], [],
@@ -726,7 +731,8 @@ class TestCLI:
         ("halving.csv", "0.5,0.5", [], ["--rho0", "0.5", "--rhos", "1"],
          "rhos has 1 entries but weights has 2"),
     ], ids=["bad-weights", "missing-trace", "empty-trace", "bad-float",
-            "empty-block-entry", "nan-distance", "inf-distance-at-0",
+            "empty-block-entry", "n-not-its-position",
+            "empty-block-before-the-last", "nan-distance", "inf-distance-at-0",
             "noisy-linear-rate", "rho0-alone", "rhos-alone", "rhos-count"])
     def test_audit_bad_inputs(self, tmp_path, capsys, trace, weights, edits,
                               argv, message):

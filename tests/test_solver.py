@@ -193,6 +193,12 @@ class TestFixedPointResidual:
         assert np.allclose(comp([2.0]), [2.0])
         assert fixed_point_residual([2.0], proj_c, [proj_d], [1.0]) <= 1e-12
 
+    def test_operator_count_must_match_the_weights(self):
+        # the run's own count check, not kahan_weighted_sum's shape error
+        with pytest.raises(ValueError, match="expected 2 operators, got 3"):
+            fixed_point_residual([1.0, 1.0], scaling_op(2, 0.5),
+                                 [identity_op(2)] * 3, [0.5, 0.5])
+
 
 class TestLaggedStoppingCheck:
     def test_family_residual_uses_last_activations(self):
@@ -470,6 +476,17 @@ class TestFejerAudit:
                 "block [0, 1, 2] at n=0 names an index outside 1..2")):
             fejer_audit_arrays([1.0, 0.5], [0.0] * 2, [0.0] * 2, blocks,
                                [0.5, 0.5], K=1, slack=1e-9)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_missing_block_before_the_last_rejected(self, n):
+        # only a run's terminal record has no block; one earlier used to
+        # end the replay there and drop every later iteration unchecked
+        blocks = [frozenset({1, 2})] * 4 + [None]
+        blocks[n] = None
+        with pytest.raises(ValueError, match=re.escape(
+                f"no block at n={n}: only the last record may have none")):
+            fejer_audit_arrays([1.0, 0.5, 0.25, 0.125, 0.0625], [0.0] * 5,
+                               [0.0] * 5, blocks, [0.5, 0.5], K=2)
 
     @pytest.mark.parametrize("K", [0, -3])
     def test_nonpositive_K_rejected(self, K):

@@ -277,8 +277,11 @@ def test_stacked_and_list_runs_write_identical_traces(name, runner, errors,
 def test_stacked_and_list_runs_agree_on_generated_problems(
         name, d, extra_rows, seed, block_size, check_every, errors):
     """Generated sizes, data, schedules and check periods: plain and
-    economical runs on the RowStack and on list(ts) write the same bytes."""
+    economical runs on the RowStack, on list(ts), on tuple(ts) and on the
+    constant family (i, n) -> ts[i - 1] write the same bytes."""
     prob = BUILDERS[name](d=d, m=d + extra_rows, seed=seed)
+    ops = list(prob.ts)
+    forms = (prob.ts, ops, tuple(ops), lambda i, n: ops[i - 1])
     cfg = SolverConfig(
         weights=prob.weights,
         schedule=make_cyclic(prob.m, min(block_size, prob.m)),
@@ -288,12 +291,12 @@ def test_stacked_and_list_runs_agree_on_generated_problems(
     with tempfile.TemporaryDirectory() as tmp:
         for runner in (run, run_economical):
             traces = []
-            for ts in (prob.ts, list(prob.ts)):
-                path = Path(tmp) / f"{type(ts).__name__}.csv"
+            for k, ts in enumerate(forms):
+                path = Path(tmp) / f"{k}.csv"
                 write_trace_csv(path, runner(prob.t0, ts, cfg, x0,
                                              x_ref=np.zeros(prob.dim)).trace)
                 traces.append(path.read_bytes())
-            assert traces[0] == traces[1]
+            assert traces[1:] == traces[:1] * 3
 
 
 @pytest.mark.parametrize("name", ["lasso", "least_squares"])
