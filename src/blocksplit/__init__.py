@@ -16,8 +16,7 @@ from .solver import (SeededDecayErrors, SolverConfig, SolverResult,
 from .calculus import (AffineSubspace, Ball, Box, FullSpace, Halfspace,
                        Hyperplane, LinearMap, Singleton, SmoothScalar,
                        grad_distance_penalty, half_square, huber,
-                       projector_op, prox_l1, prox_separable, row_map, square,
-                       yosida)
+                       projector_op, prox_l1, row_map, square)
 from .problems import (BuiltProblem, alternating_projections,
                        build_cohypomonotone, build_common_fixed_point,
                        build_feasibility_relaxation, build_forward_backward,

@@ -1,6 +1,6 @@
 """Concrete averaged operators: projectors onto standard convex sets,
-proximity operators, resolvents of monotone linear maps, Yosida steps, and
-the gradient of smooth distance penalties phi(d_D(Lx)).
+proximity operators, resolvents of monotone linear maps, and the gradient
+of smooth distance penalties phi(d_D(Lx)).
 """
 
 from __future__ import annotations
@@ -188,14 +188,6 @@ def prox_l1_op(dim, t):
                       name=f"prox_l1[{t}]")
 
 
-def prox_separable(x, scalar_prox_list):
-    """Apply one scalar proximity map per coordinate of ``x``."""
-    x = as_point(x)
-    if len(scalar_prox_list) != x.size:
-        raise ValueError("need exactly one scalar prox per coordinate")
-    return np.array([float(p(xi)) for p, xi in zip(scalar_prox_list, x)])
-
-
 # ---------------------------------------------------------------------------
 # resolvents
 
@@ -227,14 +219,6 @@ def linear_resolvent_op(A, gamma, lipschitz=1.0):
         raise ValueError("resolvent solve broke down numerically") from exc
     return AveragedOp(lambda x: lu_solve(factor, x), dim=d, alpha=0.5,
                       lipschitz=lipschitz, name=f"J[{gamma}A]")
-
-
-def yosida(resolvent, rho, x):
-    """The Yosida step (x - J_{rho A} x) / rho given the resolvent at index rho."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    x = as_point(x)
-    return (x - np.asarray(resolvent(x), dtype=float)) / rho
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +265,6 @@ def huber(delta=1.0):
                         even_vanishing_at_zero=True, name=f"huber[{delta}]")
 
 
-def check_derivative(phi, n_samples=200, seed=0, tol=1e-6, spread=3.0):
-    """Compare phi.derivative against central differences of phi.value."""
-    rng = np.random.default_rng(seed)
-    h = 1e-6
-    worst = 0.0
-    for _ in range(n_samples):
-        t = spread * rng.standard_normal()
-        fd = (phi.value(t + h) - phi.value(t - h)) / (2.0 * h)
-        err = abs(fd - phi.derivative(t)) / (1.0 + abs(phi.derivative(t)))
-        worst = max(worst, err)
-    return worst <= tol, worst
-
-
 class LinearMap:
     """A dense linear map with its adjoint and exact operator norm."""
 
@@ -311,10 +282,6 @@ class LinearMap:
 
     def adjoint(self, y):
         return self.matrix.T @ as_point(y, dim=self.codomain_dim)
-
-
-def identity_map(dim):
-    return LinearMap(np.eye(dim))
 
 
 def row_map(a):

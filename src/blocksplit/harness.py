@@ -21,9 +21,8 @@ from .operators import NonFiniteError, as_int, as_point, norm
 from .schedules import (Block, CoveringError, as_block, check_concentrating,
                         mu_row, schedule_from_spec, make_full,
                         validate_covering)
-from .solver import (SeededDecayErrors, SolverConfig, fejer_audit,
-                     fejer_audit_arrays, linear_rate_audit_arrays,
-                     require_error_free, run, run_economical)
+from .solver import (SeededDecayErrors, SolverConfig, TraceRecord,
+                     fejer_audit, linear_rate_audit, run, run_economical)
 
 
 class ConfigError(ValueError):
@@ -176,7 +175,8 @@ def write_trace_csv(path, trace):
 
 
 def read_trace_csv(path):
-    """Load a persisted trace into parallel lists keyed by column name.
+    """Load a persisted trace as the ``TraceRecord``s a run returns, with
+    no iterate (``x`` is None).
 
     Each block is read into a ``Block``, as the audits take it, as its line
     is parsed. A member that is not an integer, or that ``Block`` refuses
@@ -186,26 +186,27 @@ def read_trace_csv(path):
         text = Path(path).read_text().strip().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read trace: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start} is not UTF-8 text "
+                          f"({exc.reason})") from None
     if not text or text[0] != TRACE_HEADER:
         raise ConfigError(f"{path}: not a blocksplit trace (bad header)")
-    out = {key: [] for key in TRACE_HEADER.split(",")}
+    trace = []
     for k, line in enumerate(text[1:], 2):
         try:
             n, residual, step, err0, errsum, block, dist = line.split(",")
             if int(n) != k - 2:
                 raise ValueError(f"n must count the records from 0: "
                                  f"expected {k - 2}, got {n}")
-            out["n"].append(int(n))
-            for key, raw in (("residual", residual), ("step", step),
-                             ("err0", err0), ("errsum", errsum),
-                             ("dist_ref", dist)):
-                out[key].append(float(raw) if raw else None)
-            out["block"].append(Block(int(v) for v in block.split("|"))
-                                if block else None)
+            values = [float(raw) if raw else None
+                      for raw in (residual, step, err0, errsum, dist)]
+            members = (Block(int(v) for v in block.split("|")) if block
+                       else None)
+            trace.append(TraceRecord(k - 2, None, members, *values))
         except ValueError as exc:
             raise ConfigError(f"{path}: line {k}: malformed trace line "
                               f"{line!r} ({exc})") from None
-    return out
+    return trace
 
 
 def replay_audits_from_csv(path, weights, K, rho0=None, rhos=None):
@@ -217,17 +218,10 @@ def replay_audits_from_csv(path, weights, K, rho0=None, rhos=None):
     """
     if (rho0 is None) != (rhos is None):
         raise ConfigError("rho0 and rhos go together: give both or neither")
-    data = read_trace_csv(path)
-    dists = data["dist_ref"]
-    if any(d is None for d in dists):
-        raise ConfigError("trace has no dist_ref column; rerun with a reference")
-    err0s = [v or 0.0 for v in data["err0"]]
-    errsums = [v or 0.0 for v in data["errsum"]]
-    reports = [fejer_audit_arrays(dists, err0s, errsums, data["block"],
-                                  weights, K)]
+    trace = read_trace_csv(path)
+    reports = [fejer_audit(trace, None, weights, K)]
     if rho0 is not None:
-        require_error_free(err0s + errsums)
-        reports.append(linear_rate_audit_arrays(dists, rho0, rhos, weights, K))
+        reports.append(linear_rate_audit(trace, None, rho0, rhos, weights, K))
     return reports
 
 
@@ -474,7 +468,7 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
                 summary["audits"]["fejer"] = (
                     None if result.iterations < schedule.K
                     else ref.converged and fejer_audit(
-                        result.trace, x_ref, problem.weights,
+                        result.trace, None, problem.weights,
                         schedule.K).passed)
     except CoveringError as exc:
         return EXIT_COVERING, {"error": str(exc)}

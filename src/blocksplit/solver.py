@@ -568,13 +568,6 @@ def _audit_weights(weights, K):
     return check_weights(weights)
 
 
-def _check_counts(count, of, **series):
-    for name, values in series.items():
-        if len(values) != count:
-            raise ValueError(f"{name} has {len(values)} entries but {of} has "
-                             f"{count}")
-
-
 def _check_finite(**series):
     """Refuse a NaN or infinite entry by its n: no slack tells it from a pass."""
     for name, values in series.items():
@@ -593,37 +586,57 @@ def _verdict(violations, slack, first_n, label):
                        first_n + int(bad[0]) if bad.size else None, v.size, label)
 
 
-def fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack=None):
-    """Check, for every n >= K-1 with a successor iterate,
+def _distances(trace, x_ref):
+    """d_n of every record: its iterate's distance to ``x_ref``, or, for
+    ``x_ref`` None, the ``dist_ref`` the run recorded."""
+    if x_ref is not None:
+        x_ref = as_point(x_ref)
+        return np.array([norm(rec.x - x_ref) for rec in trace])
+    if any(rec.dist_ref is None for rec in trace):
+        raise ValueError("trace has no dist_ref column; rerun with a "
+                         "reference")
+    return np.array([rec.dist_ref for rec in trace], dtype=float)
+
+
+def fejer_audit(trace, x_ref, weights, K, slack=None):
+    """Audit a trace against the lagged distance inequality: for every
+    n >= K-1 with a successor iterate,
 
         d_{n+1} <= sum_i w_i d_{c(i,n)} + ||e_{0,n}|| + sum_i ||e_{i,c(i,n)}||
 
-    where d_n is the distance of iterate n to the reference solution and
+    where d_n is the distance of iterate n to the reference solution
+    ``x_ref`` (a high-accuracy solution, e.g. the final iterate of a long
+    error-free reference run; None reads each record's ``dist_ref``) and
     c(i, n) is replayed from the recorded blocks, which must satisfy the
     K-window covering condition (CoveringError otherwise); only the last
-    record may lack its block (ValueError otherwise). The default ``slack``
-    is 1e-9 * (1 + d_0).
+    record may lack its block (ValueError otherwise), and every block must
+    name indices in 1..m. The default ``slack`` is 1e-9 * (1 + d_0).
     """
     w = _audit_weights(weights, K)
-    dists = np.asarray(dists, dtype=float)
+    dists = _distances(trace, x_ref)
     if dists.size == 0:
         raise ValueError("need at least one recorded iterate")
-    _check_counts(dists.size, "dists", err0s=err0s, errsums=errsums,
-                  blocks=blocks)
+    err0s = [rec.err0 or 0.0 for rec in trace]
+    errsums = [rec.errsum or 0.0 for rec in trace]
     _check_finite(distance=dists, err0=err0s, errsum=errsums)
     if slack is None:
         slack = 1e-9 * (1.0 + float(dists[0]))
     violations = np.empty(dists.size - 1)   # d_{n+1} minus its bound
     last = np.full(w.size, -1)
-    for n in range(dists.size - 1):
-        if blocks[n] is None:
+    for n, rec in enumerate(trace):
+        terminal = n == dists.size - 1
+        if rec.block is None:
+            if terminal:
+                break
             raise ValueError(f"no block at n={n}: only the last record may "
                              f"have none")
-        block = as_block(blocks[n])
+        block = as_block(rec.block)
         idx = block.idx
         if idx.size and (idx[0] < 0 or idx[-1] >= w.size):
-            raise ValueError(f"block {sorted(blocks[n])} at n={n} names an "
+            raise ValueError(f"block {sorted(rec.block)} at n={n} names an "
                              f"index outside 1..{w.size} (one weight each)")
+        if terminal:
+            break
         record_activation(last, block.rows, n, K)
         if n < K - 1:
             continue
@@ -634,42 +647,28 @@ def fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack=None):
     return _verdict(violations[K - 1:], slack, K - 1, "fejer")
 
 
-def fejer_audit(trace, x_ref, weights, K, slack=None):
-    """Audit a solver trace against the lagged distance inequality.
-
-    ``x_ref`` should be a high-accuracy solution, e.g. the final iterate of a
-    long error-free reference run.
-    """
-    x_ref = as_point(x_ref)
-    dists = [norm(rec.x - x_ref) for rec in trace]
-    blocks = [rec.block for rec in trace]
-    err0s = [rec.err0 or 0.0 for rec in trace]
-    errsums = [rec.errsum or 0.0 for rec in trace]
-    return fejer_audit_arrays(dists, err0s, errsums, blocks, weights, K, slack)
-
-
-def require_error_free(errors):
-    """Refuse a run with injected errors, which the linear envelope omits."""
-    if any(errors):
-        raise ValueError("linear rate audit requires an error-free run")
-
-
-def linear_rate_audit_arrays(dists, rho0, rhos, weights, K, slack=None):
-    """Check the geometric envelope implied by declared contraction factors:
+def linear_rate_audit(trace, x_ref, rho0, rhos, weights, K, slack=None):
+    """Audit an error-free trace against the geometric envelope implied by
+    declared contraction factors:
 
         d_n <= rho^{(1-K)/K} * max(d_0, ..., d_{K-1}) * rho^{n/K},
 
-    with rho = rho0 * sum_i w_i rho_i, which must be < 1. The default
-    ``slack`` is 1e-12 * (1 + max(d_0, ..., d_{K-1})).
+    with rho = rho0 * sum_i w_i rho_i, which must be < 1, and d_n measured
+    as in ``fejer_audit``. The default ``slack`` is
+    1e-12 * (1 + max(d_0, ..., d_{K-1})).
     """
     w = _audit_weights(weights, K)
+    if any(rec.err0 or rec.errsum for rec in trace):
+        raise ValueError("linear rate audit requires an error-free run")
     if rho0 is None or any(r is None for r in rhos):
         raise ValueError("every operator needs a declared Lipschitz constant")
-    _check_counts(w.size, "weights", rhos=rhos)
+    if len(rhos) != w.size:
+        raise ValueError(f"rhos has {len(rhos)} entries but weights has "
+                         f"{w.size}")
     rho = float(rho0) * float(np.dot(w, np.asarray(rhos, dtype=float)))
     if not 0.0 < rho < 1.0:
         raise ValueError(f"no linear guarantee: rho = {rho} is not in (0, 1)")
-    dists = np.asarray(dists, dtype=float)
+    dists = _distances(trace, x_ref)
     _check_finite(distance=dists)
     if dists.size < K:
         raise ValueError("need at least K recorded iterates")
@@ -679,11 +678,3 @@ def linear_rate_audit_arrays(dists, rho0, rhos, weights, K, slack=None):
     head = rho ** ((1.0 - K) / K) * xi_hat
     return _verdict([d - head * rho ** (n / K) for n, d in enumerate(dists)],
                     slack, 0, "linear-rate")
-
-
-def linear_rate_audit(trace, x_ref, rho0, rhos, weights, K, slack=None):
-    """Audit an error-free trace against the linear convergence envelope."""
-    x_ref = as_point(x_ref)
-    require_error_free(rec.err0 or rec.errsum for rec in trace)
-    dists = [norm(rec.x - x_ref) for rec in trace]
-    return linear_rate_audit_arrays(dists, rho0, rhos, weights, K, slack)

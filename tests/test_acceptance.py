@@ -11,8 +11,8 @@ from blocksplit.calculus import (AffineSubspace, Ball, Box, Halfspace,
                                  Hyperplane, LinearMap, Singleton,
                                  distance_penalty_value, grad_distance_penalty,
                                  gradient_step_op, half_square, huber,
-                                 identity_map, linear_resolvent_op,
-                                 projector_op, prox_l1_op, row_map, square)
+                                 linear_resolvent_op, projector_op,
+                                 prox_l1_op, row_map, square)
 from blocksplit.harness import (direct_mann_iteration, l1_optimality_residual,
                                 oracle_least_squares,
                                 oracle_prox_grad_reference,
@@ -26,6 +26,7 @@ from blocksplit.schedules import (check_concentrating, lag_identity_check,
                                   make_quasicyclic_random, mu_row)
 from blocksplit.solver import (SeededDecayErrors, SolverConfig, fejer_audit,
                                linear_rate_audit, run, run_economical)
+from support import identity_map
 
 
 def verdict(name, ok, detail):

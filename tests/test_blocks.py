@@ -26,8 +26,8 @@ from blocksplit.schedules import (Block, BlockSchedule, CoveringError,
                                   make_quasicyclic_random, mu_row,
                                   record_activation, validate_covering)
 from blocksplit.solver import (AuditReport, SeededDecayErrors, SolverConfig,
-                               TraceRecord, fejer_audit_arrays, run,
-                               run_economical)
+                               TraceRecord, fejer_audit, run, run_economical)
+from support import trace_of
 
 
 class TestBlock:
@@ -204,7 +204,7 @@ def test_solver_loop_reads_only_idx_and_rows(kind, runner):
 def test_trace_reader_sorts_deduplicates_and_bounds_members(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text(f"{TRACE_HEADER}\n0,1.0,0.5,,,3|1|3,2.0\n1,,,,,,1.0\n")
-    blocks = read_trace_csv(path)["block"]
+    blocks = [rec.block for rec in read_trace_csv(path)]
     assert blocks[1] is None and list(blocks[0]) == [1, 3]
     assert blocks[0].idx.tolist() == [0, 2]
     path.write_text(f"{TRACE_HEADER}\n0,1.0,0.5,,,1|{2**70},2.0\n")
@@ -466,8 +466,9 @@ def test_fejer_audit_matches_the_interpreter_sum(m, K, steps, seed, plain):
     dists = np.exp(rng.normal(0.0, 4.0, steps + 1))
     err0s = rng.random(steps + 1) * 1e-3
     errsums = rng.random(steps + 1) * 1e-3
-    args = (dists, err0s, errsums, blocks, w, K)
-    assert fejer_audit_arrays(*args) == reference_fejer_audit(*args)
+    trace = trace_of(dists, blocks, err0s, errsums)
+    assert (fejer_audit(trace, None, w, K)
+            == reference_fejer_audit(dists, err0s, errsums, blocks, w, K))
 
 
 def _fmt(v):

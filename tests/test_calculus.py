@@ -6,13 +6,26 @@ import pytest
 
 from blocksplit.calculus import (AffineSubspace, Ball, Box, FullSpace,
                                  Halfspace, Hyperplane, LinearMap, Singleton,
-                                 check_derivative, distance_penalty_value,
+                                 distance_penalty_value,
                                  grad_distance_penalty, gradient_step_op,
-                                 half_square, huber, identity_map,
-                                 linear_resolvent_op, projector_op, prox_l1,
-                                 prox_separable, row_map, set_from_spec,
-                                 square, yosida)
+                                 half_square, huber, linear_resolvent_op,
+                                 projector_op, prox_l1, row_map,
+                                 set_from_spec, square)
 from blocksplit.operators import certify_averaged
+from support import identity_map
+
+
+def check_derivative(phi, n_samples=200, seed=0, tol=1e-6, spread=3.0):
+    """Compare phi.derivative against central differences of phi.value."""
+    rng = np.random.default_rng(seed)
+    h = 1e-6
+    worst = 0.0
+    for _ in range(n_samples):
+        t = spread * rng.standard_normal()
+        fd = (phi.value(t + h) - phi.value(t - h)) / (2.0 * h)
+        err = abs(fd - phi.derivative(t)) / (1.0 + abs(phi.derivative(t)))
+        worst = max(worst, err)
+    return worst <= tol, worst
 
 
 class TestProxL1:
@@ -182,35 +195,6 @@ class TestResolvents:
         assert cert.passed
 
 
-class TestYosida:
-    def test_zero_at_resolvent_fixed_point(self):
-        J = lambda x: x  # resolvent of the zero operator
-        assert np.allclose(yosida(J, 1.5, [2.0, -1.0]), [0.0, 0.0])
-
-    def test_soft_threshold_resolvent(self):
-        J = lambda x: prox_l1(x, 1.0)  # resolvent of the sign subdifferential
-        assert np.allclose(yosida(J, 1.0, [2.0]), [1.0])
-
-    def test_scalar_identity(self):
-        J = lambda x: x / 3.0  # resolvent of identity at index 2
-        assert np.allclose(yosida(J, 2.0, [3.0]), [1.0])
-
-    def test_rho_positive(self):
-        with pytest.raises(ValueError):
-            yosida(lambda x: x, 0.0, [1.0])
-
-    def test_cocoercivity_sampled(self):
-        rho = 0.8
-        op = linear_resolvent_op(np.array([[2.0, 0.0], [0.0, 0.5]]), rho)
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            x, y = rng.standard_normal(2), rng.standard_normal(2)
-            yx = yosida(op, rho, x)
-            yy = yosida(op, rho, y)
-            lhs = float(np.dot(x - y, yx - yy))
-            assert lhs >= rho * float(np.dot(yx - yy, yx - yy)) - 1e-12
-
-
 class TestSmoothScalars:
     @pytest.mark.parametrize("phi", [square(), half_square(), huber(0.7)])
     def test_derivative_matches_finite_differences(self, phi):
@@ -321,26 +305,3 @@ class TestGradientStep:
         op = gradient_step_op(grad, beta=1.0, gamma=1.5, dim=2)
         assert op.alpha == pytest.approx(0.75)
         assert certify_averaged(op, sample_count=300, seed=6).passed
-
-
-class TestProxSeparable:
-    def test_all_zero_functions(self):
-        x = np.array([1.0, -2.0])
-        out = prox_separable(x, [lambda t: t, lambda t: t])
-        assert np.array_equal(out, x)
-
-    def test_matches_prox_l1(self):
-        t = 0.8
-        scalar = lambda v: np.sign(v) * max(abs(v) - t, 0.0)
-        x = np.array([2.0, -0.5, 0.1])
-        out = prox_separable(x, [scalar] * 3)
-        assert np.allclose(out, prox_l1(x, t))
-
-    def test_mixed_clamp(self):
-        clamp = lambda t: max(t, 0.0)  # prox of the nonnegativity indicator
-        keep = lambda t: t
-        assert np.allclose(prox_separable([-1.0, 5.0], [clamp, keep]), [0.0, 5.0])
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            prox_separable([1.0, 2.0], [lambda t: t])

@@ -18,7 +18,9 @@ deleted, or one non-UTF-8 byte inserted. It runs `blocksplit audit` the
 same way and holds it to exit 0, 1 or 2, with exactly one `error:` line on
 exit 2. It must exit 2 when the records no longer count n up from 0 (an
 edited n, a duplicated line, a deleted line other than the last), when a
-block before the last record is edited or emptied, and on a non-UTF-8 byte.
+block is edited (the terminal record's too) or one before the last record
+is emptied, and on a non-UTF-8 byte. Two edits always run: the terminal
+record naming block 0, and byte 0xff inserted at offset 300.
 """
 
 import contextlib
@@ -31,7 +33,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blocksplit import cli
 from blocksplit.harness import synthetic_regression, synthetic_unit_rows
@@ -214,6 +216,7 @@ BALLS = {
 }
 CELL_VALUES = ["", "x", "nan", "inf", "-1", "0", str(2**63), str(2**70)]
 N_COLUMN, BLOCK_COLUMN = 0, 5
+TRACE_LINES = 72        # the header and the balls solve's 71 records
 
 
 @pytest.fixture(scope="module")
@@ -223,28 +226,47 @@ def balls_trace(tmp_path_factory):
     path = tmp_path_factory.mktemp("balls")
     code, _, err = solve(path, BALLS)
     assert code == 0, err
-    return path, (path / "balls.csv").read_bytes().splitlines(keepends=True)
+    lines = (path / "balls.csv").read_bytes().splitlines(keepends=True)
+    assert len(lines) == TRACE_LINES
+    return path, lines
 
 
 @st.composite
-def corruptions(draw, lines):
-    """(corrupted trace bytes, whether the audit must exit 2)."""
+def edits(draw):
+    """One corruption of the balls trace: ("cell", line, column, value),
+    ("truncate", line, cut), ("duplicate", line), ("delete", line) or
+    ("byte", offset, byte). A cut or offset past the end wraps around."""
     kind = draw(st.sampled_from(["cell", "truncate", "duplicate", "delete",
                                  "byte"]), label="kind")
-    k = draw(st.integers(0, len(lines) - 1), label="line")
-    out = list(lines)
-    # data lines before the last: n counts from 0 and the block is present
-    middle = 0 < k < len(lines) - 1
+    if kind == "byte":
+        return (kind, draw(st.integers(0, 2**16), label="at"),
+                draw(st.integers(0x80, 0xFF), label="byte"))
+    k = draw(st.integers(0, TRACE_LINES - 1), label="line")
     if kind == "cell":
+        return (kind, k, draw(st.integers(0, 6), label="column"),
+                draw(st.sampled_from(CELL_VALUES), label="value"))
+    if kind == "truncate":
+        return kind, k, draw(st.integers(0, 2**16), label="cut")
+    return kind, k
+
+
+def corrupt(lines, edit):
+    """(the trace ``lines`` with ``edit`` made, whether the audit must exit
+    2)."""
+    kind, k, *args = edit
+    out = list(lines)
+    if kind == "cell":
+        column, value = args
         cells = lines[k].rstrip(b"\n").split(b",")
-        column = draw(st.integers(0, len(cells) - 1), label="column")
-        value = draw(st.sampled_from(CELL_VALUES), label="value").encode()
-        refused = value != cells[column] and (
-            column == N_COLUMN or (column == BLOCK_COLUMN and middle))
+        value = value.encode()
+        # a drawn value other than the cell's is a wrong n or an invalid
+        # block, on the terminal record too
+        refused = (value != cells[column]
+                   and column in (N_COLUMN, BLOCK_COLUMN))
         cells[column] = value
         out[k] = b",".join(cells) + b"\n"
     elif kind == "truncate":
-        cut = draw(st.integers(0, len(lines[k]) - 1), label="cut")
+        cut = args[0] % len(lines[k])
         out[k] = lines[k][:cut] + b"\n"
         refused = False
     elif kind == "duplicate":
@@ -255,9 +277,8 @@ def corruptions(draw, lines):
         refused = k < len(lines) - 1
     else:
         raw = b"".join(lines)
-        at = draw(st.integers(0, len(raw)), label="at")
-        byte = draw(st.integers(0x80, 0xFF), label="byte")
-        return raw[:at] + bytes([byte]) + raw[at:], True
+        at = k % (len(raw) + 1)
+        return raw[:at] + bytes(args) + raw[at:], True
     return b"".join(out), refused
 
 
@@ -273,10 +294,13 @@ def audit(path):
 
 
 @settings(deadline=None, max_examples=300)
-@given(data=st.data())
-def test_audit_exit_code_contract(balls_trace, data):
+@given(edit=edits())
+# the terminal record naming block 0, and a byte that is not UTF-8
+@example(edit=("cell", TRACE_LINES - 1, BLOCK_COLUMN, "0"))
+@example(edit=("byte", 300, 0xFF))
+def test_audit_exit_code_contract(balls_trace, edit):
     workdir, lines = balls_trace
-    raw, refused = data.draw(corruptions(lines), label="corruption")
+    raw, refused = corrupt(lines, edit)
     path = workdir / "corrupted.csv"
     path.write_bytes(raw)
     code, out, err = audit(path)

@@ -105,14 +105,13 @@ class TestTraceIO:
         _, res = self.run_small(with_errors=True, x_ref=np.zeros(4))
         path = tmp_path / "trace.csv"
         write_trace_csv(path, res.trace)
-        data = read_trace_csv(path)
-        assert data["n"] == [rec.n for rec in res.trace]
-        for rec, blk in zip(res.trace, data["block"]):
-            assert blk == rec.block
-        for rec, err in zip(res.trace, data["err0"]):
-            assert err == rec.err0
-        for rec, d in zip(res.trace, data["dist_ref"]):
-            assert d == rec.dist_ref
+        read = read_trace_csv(path)
+        assert [rec.n for rec in read] == [rec.n for rec in res.trace]
+        for rec, back in zip(res.trace, read):
+            assert back.x is None
+            assert back.block == rec.block
+            assert back.err0 == rec.err0
+            assert back.dist_ref == rec.dist_ref
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "junk.csv"
@@ -831,6 +830,7 @@ class TestCLI:
     def test_linear_rate_replay_needs_dist_ref(self, tmp_path):
         path = tmp_path / "trace.csv"
         self.axis_contraction_trace(path, x_ref=None)
-        with pytest.raises(ConfigError, match="no dist_ref column"):
+        # the audit refuses it, as it refuses the in-memory trace of such a run
+        with pytest.raises(ValueError, match="no dist_ref column"):
             replay_audits_from_csv(path, [0.5, 0.5], 2, rho0=0.5,
                                    rhos=[1.0, 1.0])

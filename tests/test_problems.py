@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blocksplit.calculus import (Ball, Box, Halfspace, Hyperplane, LinearMap,
-                                 half_square, identity_map, projector_op)
+                                 half_square, projector_op)
 from blocksplit.harness import (oracle_least_squares,
                                 oracle_prox_grad_reference,
                                 synthetic_regression, synthetic_unit_rows)
@@ -18,6 +18,7 @@ from blocksplit.problems import (alternating_projections,
 from blocksplit.schedules import last_activation, make_cyclic, make_full
 from blocksplit.solver import (fixed_point_residual, kahan_weighted_sum,
                                linear_rate_audit)
+from support import identity_map
 
 
 def solve_full(prob, x0, iters=2000, tol=1e-12, **kw):

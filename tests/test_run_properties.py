@@ -1,6 +1,7 @@
 """Properties of whole runs over generated problems, schedules and injected
 errors: the plain and economical means agree within a stated rounding bound,
-and a trace survives the CSV round trip column for column."""
+and a trace survives the CSV round trip column for column, its file byte for
+byte."""
 
 import tempfile
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from blocksplit.harness import (read_trace_csv, synthetic_regression,
-                                synthetic_unit_rows, write_trace_csv)
+from blocksplit.harness import (TRACE_HEADER, read_trace_csv,
+                                synthetic_regression, synthetic_unit_rows,
+                                write_trace_csv)
 from blocksplit.problems import (lasso_problem, least_squares_feasibility,
                                  logistic_problem)
 from blocksplit.schedules import make_cyclic, make_quasicyclic_random
@@ -90,8 +92,13 @@ def test_trace_csv_round_trips_every_column(case, economical, with_ref):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         write_trace_csv(path, trace)
-        data = read_trace_csv(path)
-    assert set(data) == {"n", "residual", "step", "err0", "errsum", "block",
-                         "dist_ref"}
-    for column, values in data.items():
-        assert values == [getattr(rec, column) for rec in trace], column
+        read = read_trace_csv(path)
+        # writing what was read gives the file back byte for byte
+        again = Path(tmp) / "again.csv"
+        write_trace_csv(again, read)
+        assert again.read_bytes() == path.read_bytes()
+    assert len(read) == len(trace)
+    for column in TRACE_HEADER.split(","):
+        assert ([getattr(rec, column) for rec in read]
+                == [getattr(rec, column) for rec in trace]), column
+    assert all(rec.x is None for rec in read)

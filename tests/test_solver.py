@@ -14,9 +14,9 @@ from blocksplit.schedules import (BlockSchedule, CoveringError,
                                   last_activation, make_cyclic, make_explicit,
                                   make_full, make_quasicyclic_random)
 from blocksplit.solver import (SeededDecayErrors, SolverConfig, fejer_audit,
-                               fejer_audit_arrays, fixed_point_residual,
-                               linear_rate_audit, linear_rate_audit_arrays,
-                               run, run_economical)
+                               fixed_point_residual, linear_rate_audit, run,
+                               run_economical)
+from support import trace_of
 
 AXIS_X = projector_op(Hyperplane([0.0, 1.0], 0.0))
 AXIS_Y = projector_op(Hyperplane([1.0, 0.0], 0.0))
@@ -460,22 +460,25 @@ class TestFejerAudit:
         blocks = [frozenset({1}), frozenset({1}), frozenset({2}), None]
         with pytest.raises(CoveringError, match=re.escape(
                 "indices [2] absent from window starting at n=0 (K=2)")):
-            fejer_audit_arrays([4.0, 2.0, 1.0, 0.5], [0.0] * 4, [0.0] * 4,
-                               blocks, [0.5, 0.5], K=2, slack=1e-9)
+            fejer_audit(trace_of([4.0, 2.0, 1.0, 0.5], blocks), None,
+                        [0.5, 0.5], K=2, slack=1e-9)
 
     def test_block_index_beyond_weights_rejected(self):
         blocks = [frozenset({1, 2, 3}), None]
         with pytest.raises(ValueError, match="outside 1..2"):
-            fejer_audit_arrays([1.0, 0.5], [0.0] * 2, [0.0] * 2, blocks,
-                               [0.5, 0.5], K=1, slack=1e-9)
+            fejer_audit(trace_of([1.0, 0.5], blocks), None, [0.5, 0.5], K=1,
+                        slack=1e-9)
 
     def test_block_index_zero_rejected(self):
-        # a 0 would become index -1 and wrap onto the last operator
-        blocks = [frozenset({0, 1, 2}), None]
-        with pytest.raises(ValueError, match=re.escape(
-                "block [0, 1, 2] at n=0 names an index outside 1..2")):
-            fejer_audit_arrays([1.0, 0.5], [0.0] * 2, [0.0] * 2, blocks,
-                               [0.5, 0.5], K=1, slack=1e-9)
+        # a 0 would become index -1 and wrap onto the last operator; the
+        # terminal record's block, never replayed, is checked the same way
+        for n in (0, 1):
+            blocks = [frozenset({1, 2}), None]
+            blocks[n] = frozenset({0, 1, 2})
+            with pytest.raises(ValueError, match=re.escape(
+                    f"block [0, 1, 2] at n={n} names an index outside 1..2")):
+                fejer_audit(trace_of([1.0, 0.5], blocks), None, [0.5, 0.5],
+                            K=1, slack=1e-9)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_missing_block_before_the_last_rejected(self, n):
@@ -485,18 +488,16 @@ class TestFejerAudit:
         blocks[n] = None
         with pytest.raises(ValueError, match=re.escape(
                 f"no block at n={n}: only the last record may have none")):
-            fejer_audit_arrays([1.0, 0.5, 0.25, 0.125, 0.0625], [0.0] * 5,
-                               [0.0] * 5, blocks, [0.5, 0.5], K=2)
+            fejer_audit(trace_of([1.0, 0.5, 0.25, 0.125, 0.0625], blocks),
+                        None, [0.5, 0.5], K=2)
 
     @pytest.mark.parametrize("K", [0, -3])
     def test_nonpositive_K_rejected(self, K):
-        blocks = [frozenset({1, 2}), None]
+        trace = trace_of([1.0, 0.5], [frozenset({1, 2}), None])
         with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
-            fejer_audit_arrays([1.0, 0.5], [0.0] * 2, [0.0] * 2, blocks,
-                               [0.5, 0.5], K=K)
+            fejer_audit(trace, None, [0.5, 0.5], K=K)
         with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
-            linear_rate_audit_arrays([1.0, 0.5], 0.5, [1.0, 1.0], [0.5, 0.5],
-                                     K=K)
+            linear_rate_audit(trace, None, 0.5, [1.0, 1.0], [0.5, 0.5], K=K)
 
     @pytest.mark.parametrize("column, n, value", [
         ("dists", 2, np.nan), ("dists", 0, np.inf), ("err0s", 1, np.nan),
@@ -508,44 +509,32 @@ class TestFejerAudit:
         series[column][n] = value
         name = {"dists": "distance", "err0s": "err0", "errsums": "errsum"}
         message = re.escape(f"{name[column]} at n={n} is not finite: {value}")
-        blocks = [frozenset({1, 2})] * 3 + [None]
+        trace = trace_of(series["dists"], [frozenset({1, 2})] * 3 + [None],
+                        series["err0s"], series["errsums"])
         with pytest.raises(ValueError, match=message):
-            fejer_audit_arrays(*series.values(), blocks, [0.5, 0.5], K=1)
+            fejer_audit(trace, None, [0.5, 0.5], K=1)
         if column == "dists":
             with pytest.raises(ValueError, match=message):
-                linear_rate_audit_arrays(series["dists"], 0.5, [1.0, 1.0],
-                                         [0.5, 0.5], K=1)
-
-    @pytest.mark.parametrize("column", ["err0s", "errsums", "blocks"])
-    def test_series_of_another_length_rejected(self, column):
-        series = {"dists": [1.0, 0.5, 0.25], "err0s": [0.0] * 3,
-                  "errsums": [0.0] * 3,
-                  "blocks": [frozenset({1, 2})] * 2 + [None]}
-        series[column] = series[column][:2]
-        with pytest.raises(ValueError, match=re.escape(
-                f"{column} has 2 entries but dists has 3")):
-            fejer_audit_arrays(*series.values(), [0.5, 0.5], K=1)
+                linear_rate_audit(trace, None, 0.5, [1.0, 1.0], [0.5, 0.5],
+                                  K=1)
 
     @pytest.mark.parametrize("d3, passed, first_bad", [
         (0.25, True, (None, None)), (2.0, False, (2, 3))])
     def test_verdicts_are_python_bools(self, d3, passed, first_bad):
-        dists = [3.0, 1.0, 0.5, d3]
-        blocks = [frozenset({1, 2})] * 3 + [None]
-        reports = (fejer_audit_arrays(dists, [0.0] * 4, [0.0] * 4, blocks,
-                                      [0.5, 0.5], K=1),
-                   linear_rate_audit_arrays(dists, 0.5, [1.0, 1.0], [0.5, 0.5],
-                                            K=2))
+        trace = trace_of([3.0, 1.0, 0.5, d3], [frozenset({1, 2})] * 3 + [None])
+        reports = (fejer_audit(trace, None, [0.5, 0.5], K=1),
+                   linear_rate_audit(trace, None, 0.5, [1.0, 1.0], [0.5, 0.5],
+                                     K=2))
         assert [rep.passed for rep in reports] == [passed, passed]
         assert all(type(rep.passed) is bool for rep in reports)
         assert tuple(rep.first_violation_n for rep in reports) == first_bad
 
     def test_default_slacks(self):
-        blocks = [frozenset({1, 2})] * 3 + [None]
-        dists = [3.0, 1.0, 0.5, 0.25]
-        rep = fejer_audit_arrays(dists, [0.0] * 4, [0.0] * 4, blocks,
-                                 [0.5, 0.5], K=1)
+        trace = trace_of([3.0, 1.0, 0.5, 0.25],
+                        [frozenset({1, 2})] * 3 + [None])
+        rep = fejer_audit(trace, None, [0.5, 0.5], K=1)
         assert rep.slack == 1e-9 * (1.0 + 3.0)
-        rep = linear_rate_audit_arrays(dists, 0.5, [1.0, 1.0], [0.5, 0.5], K=2)
+        rep = linear_rate_audit(trace, None, 0.5, [1.0, 1.0], [0.5, 0.5], K=2)
         assert rep.slack == 1e-12 * (1.0 + 3.0)
 
     def test_errors_included_in_bound(self):
@@ -593,7 +582,8 @@ class TestLinearRateAudit:
     def test_rhos_of_another_length_rejected(self):
         with pytest.raises(ValueError, match=re.escape(
                 "rhos has 1 entries but weights has 2")):
-            linear_rate_audit_arrays([1.0, 0.5], 0.5, [1.0], [0.5, 0.5], K=1)
+            linear_rate_audit(trace_of([1.0, 0.5], [frozenset({1, 2}), None]),
+                              None, 0.5, [1.0], [0.5, 0.5], K=1)
 
     def test_refuses_noisy_run(self):
         cfg = axis_contraction_cfg(max_iters=10,
