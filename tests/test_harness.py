@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -117,6 +118,16 @@ class TestTraceIO:
         path = tmp_path / "junk.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigError):
+            read_trace_csv(path)
+
+    def test_non_utf8_trace_refused_naming_file_and_byte(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        _, res = self.run_small(x_ref=np.zeros(4))
+        write_trace_csv(path, res.trace)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:100] + b"\xff" + raw[100:])
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: byte 100 is not UTF-8 text (invalid start byte)")):
             read_trace_csv(path)
 
     def test_offline_fejer_replay_matches_inline(self, tmp_path):
@@ -729,10 +740,17 @@ class TestCLI:
          "rho0 and rhos go together"),
         ("halving.csv", "0.5,0.5", [], ["--rho0", "0.5", "--rhos", "1"],
          "rhos has 1 entries but weights has 2"),
+        ("halving.csv", "0.5,0.5", [(2, 5, "0")], [],
+         "block [0] at n=2 names an index outside 1..2"),
+        ("halving.csv", "0.5,0.5", [(0, 5, "1|3")], [],
+         "block [1, 3] at n=0 names an index outside 1..2"),
+        ("halving.csv", "0.5,0.5", [(1, 6, "")], [],
+         "trace has no dist_ref column; rerun with a reference"),
     ], ids=["bad-weights", "missing-trace", "empty-trace", "bad-float",
             "empty-block-entry", "n-not-its-position",
             "empty-block-before-the-last", "nan-distance", "inf-distance-at-0",
-            "noisy-linear-rate", "rho0-alone", "rhos-alone", "rhos-count"])
+            "noisy-linear-rate", "rho0-alone", "rhos-alone", "rhos-count",
+            "terminal-block-zero", "block-beyond-weights", "empty-dist-ref"])
     def test_audit_bad_inputs(self, tmp_path, capsys, trace, weights, edits,
                               argv, message):
         (tmp_path / "trace.csv").write_text("n\n")

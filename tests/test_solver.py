@@ -544,6 +544,44 @@ class TestFejerAudit:
         rep = fejer_audit(res.trace, [0.0, 0.0], [0.5, 0.5], K=2)
         assert rep.passed
 
+    @pytest.mark.parametrize("audit", ["fejer", "linear-rate"])
+    def test_recorded_distances_give_the_measured_report(self, audit):
+        # x_ref=None reads the dist_ref the run recorded against the same
+        # reference, which is the distance the audit would measure
+        res = run(scaling_op(2, 0.5), [AXIS_X, AXIS_Y],
+                  axis_contraction_cfg(max_iters=40), [1.0, -2.0],
+                  x_ref=[0.0, 0.0])
+        if audit == "fejer":
+            measured, recorded = (fejer_audit(res.trace, x_ref, [0.5, 0.5],
+                                              K=2)
+                                  for x_ref in ([0.0, 0.0], None))
+        else:
+            measured, recorded = (linear_rate_audit(
+                res.trace, x_ref, 0.5, [1.0, 1.0], [0.5, 0.5], K=2)
+                for x_ref in ([0.0, 0.0], None))
+        assert measured.passed and recorded.passed
+        assert recorded.max_violation == measured.max_violation
+        assert recorded.n_checked == measured.n_checked
+
+    @pytest.mark.parametrize("audit", ["fejer", "linear-rate"])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_record_without_dist_ref_refused(self, audit, n):
+        dists = [1.0, 0.5, 0.25]
+        dists[n] = None
+        trace = trace_of(dists, [frozenset({1, 2})] * 2 + [None])
+        with pytest.raises(ValueError, match=re.escape(
+                "trace has no dist_ref column; rerun with a reference")):
+            if audit == "fejer":
+                fejer_audit(trace, None, [0.5, 0.5], K=1)
+            else:
+                linear_rate_audit(trace, None, 0.5, [1.0, 1.0], [0.5, 0.5],
+                                  K=1)
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ValueError,
+                           match="need at least one recorded iterate"):
+            fejer_audit([], None, [0.5, 0.5], K=1)
+
 
 class TestLinearRateAudit:
     def test_exact_geometric_sequence(self):
@@ -592,6 +630,22 @@ class TestLinearRateAudit:
         with pytest.raises(ValueError, match="error-free"):
             linear_rate_audit(res.trace, [0.0, 0.0], rho0=0.5, rhos=[1.0, 1.0],
                               weights=[0.5, 0.5], K=2)
+
+    @pytest.mark.parametrize("column", ["err0s", "errsums"])
+    def test_refuses_an_error_in_either_column(self, column):
+        # one nonzero entry in one record is enough
+        errors = {"err0s": [0.0] * 3, "errsums": [0.0] * 3}
+        errors[column][1] = 1e-3
+        trace = trace_of([1.0, 0.5, 0.25], [frozenset({1, 2})] * 2 + [None],
+                         **errors)
+        with pytest.raises(ValueError, match=re.escape(
+                "linear rate audit requires an error-free run")):
+            linear_rate_audit(trace, None, 0.5, [1.0, 1.0], [0.5, 0.5], K=1)
+
+    def test_fewer_than_K_records_rejected(self):
+        trace = trace_of([1.0, 0.5], [frozenset({1}), None])
+        with pytest.raises(ValueError, match="need at least K recorded"):
+            linear_rate_audit(trace, None, 0.5, [1.0, 1.0], [0.5, 0.5], K=3)
 
 
 class TestResidualEnvelope:
