@@ -200,7 +200,7 @@ def read_trace_csv(path):
                                  f"expected {k - 2}, got {n}")
             values = [float(raw) if raw else None
                       for raw in (residual, step, err0, errsum, dist)]
-            members = (Block(int(v) for v in block.split("|")) if block
+            members = (Block(list(map(int, block.split("|")))) if block
                        else None)
             trace.append(TraceRecord(k - 2, None, members, *values))
         except ValueError as exc:
@@ -355,8 +355,9 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
     """Build, run, persist, and summarize one experiment.
 
     Returns (exit_code, summary). The summary mirrors what lands in the
-    summary JSON: final residual, iteration count, wall time, and the audit
-    verdicts that can be recomputed offline from the persisted trace.
+    summary JSON: final residual, iteration count, wall time, the run's
+    ``stats`` counts, and the audit verdicts that can be recomputed offline
+    from the persisted trace.
     """
     started = time.perf_counter()
     try:
@@ -447,6 +448,7 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
                 "wall_time_s": time.perf_counter() - started,
                 "sum_err0": result.sum_err0,
                 "sum_lagged_errors": result.sum_lagged_errors,
+                "stats": result.stats,
                 "audits": {},
             }
             if problem.objective is not None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,13 +64,15 @@ class Block:
     __slots__ = ("idx", "rows")
 
     def __new__(cls, members=()):
-        members = set(members)
-        if not members:
+        ordered = _increasing(members)
+        if ordered is None:
+            members = set(members)
+            try:
+                ordered = sorted(members)
+            except TypeError:           # unordered kinds, such as 1 and "a"
+                ordered = sorted(members, key=repr)
+        if not ordered:
             return cls.from_sorted(np.empty(0, np.intp))
-        try:
-            ordered = sorted(members)
-        except TypeError:           # unordered kinds, such as 1 and "a"
-            ordered = sorted(members, key=repr)
         idx, bound = np.array(ordered), 2**62
         if (idx.dtype.kind not in "iu" or ordered[0] < -bound
                 or ordered[-1] > bound):
@@ -138,6 +141,18 @@ class Block:
 
 # the slots' own setters: Block.__setattr__ refuses every assignment
 _set_idx, _set_rows = Block.idx.__set__, Block.rows.__set__
+
+
+def _increasing(members):
+    """``members`` itself when it is a list in strictly increasing order, as
+    a written trace's blocks are: already the sorted set, so a Block skips
+    the set and the sort. None for anything else."""
+    if type(members) is not list:
+        return None
+    try:
+        return members if all(map(operator.lt, members, members[1:])) else None
+    except TypeError:               # unordered kinds, such as 1 and "a"
+        return None
 
 
 def as_block(members):
@@ -291,10 +306,17 @@ def schedule_from_spec(spec):
       {"type": "explicit", "m": ..., "K": ..., "blocks": [[...], ...]}
 
     m, K, block_size and seed must be integers (an integral float such as
-    30.0 is one; 30.7 and true are not): ValueError otherwise.
+    30.0 is one; 30.7 and true are not), and a quasicyclic seed must be
+    >= 0. A missing required key or a value refused is a ValueError naming
+    it as ``schedule.<key>``.
     """
+    def required(key):
+        if key not in spec:
+            raise ValueError(f"schedule.{key} is missing")
+        return spec[key]
+
     def integer(key, default=None):
-        value = spec[key] if default is None else spec.get(key, default)
+        value = required(key) if default is None else spec.get(key, default)
         return as_int(value, f"schedule.{key}")
 
     kind = spec.get("type")
@@ -302,9 +324,12 @@ def schedule_from_spec(spec):
     if kind == "cyclic":
         return make_cyclic(m, integer("block_size", 1))
     if kind == "quasicyclic":
-        return make_quasicyclic_random(m, integer("K"), integer("seed", 0))
+        seed = integer("seed", 0)
+        if seed < 0:
+            raise ValueError(f"schedule.seed must be >= 0, got {seed}")
+        return make_quasicyclic_random(m, integer("K"), seed)
     if kind == "explicit":
-        return make_explicit(m, integer("K"), spec["blocks"])
+        return make_explicit(m, integer("K"), required("blocks"))
     raise ValueError(f"unknown schedule type {kind!r}")
 
 

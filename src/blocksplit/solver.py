@@ -218,11 +218,15 @@ class SolverConfig:
     """Run parameters.
 
     ``epsilon`` bounds the admissible averagedness constants: every operator
-    must declare alpha < 1/(1 + epsilon). The residual stopping rule is
-    evaluated every ``check_every`` iterations to amortize its full sweep of
-    operator evaluations; a negative ``tol_residual`` disables it, leaving
-    only the ``max_iters`` cap. ``t_init`` overrides the default stale-buffer
-    seed (the start point replicated).
+    must declare alpha < 1/(1 + epsilon). ``check_every`` is the spacing of
+    candidate stopping checks, each a full sweep of operator evaluations.
+    A run with no ``error_model`` and ``tol_residual`` >= 0 skips a
+    candidate whose recorded steps predict a residual above the tolerance,
+    but never more than 19 in a row, nor a candidate before n = K or at the
+    cap (see ``_run_core``). A negative ``tol_residual`` disables the rule,
+    leaving only the ``max_iters`` cap; every candidate check then runs.
+    ``t_init`` overrides the default stale-buffer seed (the start point
+    replicated).
     """
 
     weights: object
@@ -266,6 +270,11 @@ class TraceRecord:
 
 @dataclass
 class SolverResult:
+    """``stats`` counts what the run did: ``iterations``, ``block_evals``
+    (inner evaluations in block updates), ``checks`` (stopping checks run),
+    ``checks_skipped`` (scheduled checks the predictor skipped) and
+    ``check_evals`` (inner evaluations in the checks, m per check)."""
+
     x: np.ndarray
     converged: bool
     iterations: int
@@ -273,6 +282,7 @@ class SolverResult:
     trace: list
     sum_err0: float = 0.0
     sum_lagged_errors: float = 0.0
+    stats: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +449,28 @@ def run_economical(t0, ts, cfg, x0, x_ref=None):
     return _run_core(t0, ts, cfg, x0, x_ref, economical=True)
 
 
+# The stopping check's predictor. Over an error-free run the lagged residual
+# r_n keeps a steady ratio to S_n, the sum of the K steps ||x_{k+1} - x_k||
+# before n: from n = K to 2,000, the middle 90% of r_n / S_n lay in
+# 0.48-0.49 on lasso (m=500, cyclic, K=50) and 0.46-0.47 on least squares
+# (m=2000, cyclic, K=20); quasicyclic blocks are larger, and the ratio lower
+# (0.02-0.03 at m=500, K=50). So the rule takes the ratio from the last
+# check run at some n_c >= K, with residual r_c and window sum S_c: a
+# scheduled check at n >= K is skipped when r_c S_n / S_c exceeds
+# _CHECK_MARGIN times the tolerance, and forced once _FORCE_AFTER candidates
+# have passed since n_c, so at most 19 in a row are skipped. Surveyed over
+# 264 error-free runs (lasso at m=30 and m=500, least squares at m=2000, each
+# cyclic and quasicyclic; tolerances 1e-1 to 1e-11; check_every 1, 5, 10 and
+# 20; up to 20,000 iterations), none stopped later than with every check,
+# and 12% of the scheduled checks ran. A margin of 1, with window sums taken
+# before n >= K too, stopped late in 73 of them, worst 110 -> 210 iterations.
+# The residual is not monotone, so late stops remain possible: 70 of 1,000
+# generated error-free runs on small problems (m <= 26, 100-600 iterations)
+# stopped late, by at most 25 iterations.
+_CHECK_MARGIN = 2.0
+_FORCE_AFTER = 20
+
+
 def _run_core(t0, ts, cfg, x0, x_ref, economical):
     schedule = cfg.schedule
     m, K = schedule.m, schedule.K
@@ -469,6 +501,14 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
     # last[i-1]: latest step whose block activated i, -1 before any; it
     # serves the lagged stopping check and the on-the-fly covering test
     last = np.full(m, -1)
+    # injected errors enter the steps and break the predictor, and a
+    # negative tolerance makes every check a requested diagnostic
+    gated = cfg.error_model is None and cfg.tol_residual >= 0
+    # (n_c, r_c, S_c) of the last check run at some n_c >= K; S_c = 0 until
+    # there is one, so nothing is skipped before it
+    basis = (None, None, 0.0)
+    force_span = _FORCE_AFTER * cfg.check_every
+    block_evals = checks = skipped = 0
     n = 0
     while True:
         at_cap = n >= cfg.max_iters
@@ -476,7 +516,19 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
                               else (schedule.block(n), None, None))
         residual = None
         if at_cap or n % cfg.check_every == 0:
-            residual = _residual(x, t0f, inner, w, block, n, last)
+            # S_n as a plain sum, recomputed at each candidate: no rounding
+            # drift builds up, and an overflow gives inf instead of raising
+            s_n = (sum(rec.step for rec in trace[n - K:n])
+                   if gated and n >= K else None)
+            n_c, r_c, s_c = basis
+            if (not at_cap and s_c > 0 and n - n_c < force_span
+                    and r_c * s_n > _CHECK_MARGIN * cfg.tol_residual * s_c):
+                skipped += 1
+            else:
+                residual = _residual(x, t0f, inner, w, block, n, last)
+                checks += 1
+                if s_n is not None:
+                    basis = (n, residual, s_n)
         converged = residual is not None and residual <= cfg.tol_residual
         rec = TraceRecord(n=n, x=x.copy(), residual=residual,
                           dist_ref=norm(x - x_ref) if x_ref is not None else None)
@@ -489,6 +541,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         # covering is enforced on the fly: every K-window the run
         # traverses must activate all indices
         record_activation(last, rows, n, K)
+        block_evals += block.idx.size
         if economical:
             wi = w[rows]
             y = z - wi @ tbuf[rows]
@@ -543,6 +596,8 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         trace=trace,
         sum_err0=sum_err0,
         sum_lagged_errors=sum_lagged,
+        stats={"iterations": n, "block_evals": block_evals, "checks": checks,
+               "checks_skipped": skipped, "check_evals": checks * m},
     )
 
 

@@ -171,6 +171,23 @@ class TestRunExperiment:
         saved = json.loads((tmp_path / "summary.json").read_text())
         assert saved["iterations"] == summary["iterations"]
 
+    def test_summary_reports_the_run_stats(self, tmp_path):
+        cfg = lasso_config(tmp_path, m=6, schedule={
+            "type": "cyclic", "m": 6, "block_size": 2})
+        code, summary = run_experiment(cfg, base_dir=tmp_path)
+        assert code == EXIT_OK
+        stats = summary["stats"]
+        trace = read_trace_csv(tmp_path / "trace.csv")
+        checks = sum(rec.residual is not None for rec in trace)
+        assert stats == {
+            "iterations": summary["iterations"],
+            "block_evals": 2 * summary["iterations"],
+            "checks": checks, "check_evals": 6 * checks,
+            "checks_skipped": stats["checks_skipped"]}
+        assert stats["checks_skipped"] > 0
+        saved = json.loads((tmp_path / "summary.json").read_text())
+        assert saved["stats"] == stats
+
     def test_covering_violation_exit(self, tmp_path):
         bad = {"type": "explicit", "m": 6, "K": 2,
                "blocks": [[1], [2], [3], [4], [5], [6]]}
@@ -678,8 +695,15 @@ class TestCLI:
         ({"schedule": {"type": "explicit", "m": 3, "K": 2,
                        "blocks": [1, [2, 3]]}},
          "schedule.blocks must be a list of index lists, got [1, [2, 3]]"),
+        ({"schedule": {"type": "explicit", "m": 3, "K": 2}},
+         "error: schedule.blocks is missing\n"),
+        ({"schedule": {"type": "quasicyclic", "m": 5, "K": 3, "seed": -1}},
+         "error: schedule.seed must be >= 0, got -1\n"),
+        ({"schedule": {"type": "cyclic", "block_size": 2}},
+         "error: schedule.m is missing\n"),
     ], ids=["top-level-array", "schedule-array", "schedule-string",
-            "m-fraction", "blocks-fraction", "blocks-bool", "blocks-number"])
+            "m-fraction", "blocks-fraction", "blocks-bool", "blocks-number",
+            "blocks-missing", "seed-negative", "m-missing"])
     def test_schedule_check_malformed_config(self, tmp_path, capsys, cfg,
                                              message):
         path = tmp_path / "s.json"
@@ -689,14 +713,21 @@ class TestCLI:
         assert code == EXIT_CONFIG
         assert message in err
 
+    CYCLIC_4_2 = ["--type", "cyclic", "--m", "4", "--block-size", "2"]
+
     @pytest.mark.parametrize("argv, message", [
-        (["--horizon", "1"], "horizon 1 must be at least K=2"),
-        (["--rows", "-1"], "--rows must be at least 1, got -1"),
-    ], ids=["horizon-below-K", "negative-rows"])
+        (CYCLIC_4_2 + ["--horizon", "1"], "horizon 1 must be at least K=2"),
+        (CYCLIC_4_2 + ["--rows", "-1"], "--rows must be at least 1, got -1"),
+        (["--type", "explicit", "--m", "3", "--K", "2"],
+         "error: schedule.blocks is missing\n"),
+        (["--type", "quasicyclic", "--m", "5", "--K", "3", "--seed", "-1"],
+         "error: schedule.seed must be >= 0, got -1\n"),
+        (["--type", "quasicyclic", "--m", "5"],
+         "error: schedule.K is missing\n"),
+    ], ids=["horizon-below-K", "negative-rows", "explicit-without-blocks",
+            "quasicyclic-negative-seed", "quasicyclic-without-K"])
     def test_schedule_check_bad_inputs(self, capsys, argv, message):
-        code, err = self.cli_error(capsys, [
-            "schedule-check", "--type", "cyclic", "--m", "4",
-            "--block-size", "2"] + argv)
+        code, err = self.cli_error(capsys, ["schedule-check"] + argv)
         assert code == EXIT_CONFIG
         assert message in err
 

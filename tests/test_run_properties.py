@@ -1,7 +1,7 @@
 """Properties of whole runs over generated problems, schedules and injected
 errors: the plain and economical means agree within a stated rounding bound,
-and a trace survives the CSV round trip column for column, its file byte for
-byte."""
+a trace survives the CSV round trip column for column, its file byte for
+byte, and skipping stopping checks changes nothing but the skipped residuals."""
 
 import tempfile
 from pathlib import Path
@@ -34,8 +34,8 @@ def _build(kind, d, m, seed):
 
 
 @st.composite
-def runs(draw):
-    """A generated problem, schedule, start point and error model."""
+def problems(draw):
+    """A generated problem, schedule and seed."""
     kind = draw(st.sampled_from(["lasso", "logistic", "least_squares"]))
     d = draw(st.integers(1, 6))
     m = d + draw(st.integers(0, 20))
@@ -45,6 +45,13 @@ def runs(draw):
         schedule = make_cyclic(m, draw(st.integers(1, m)))
     else:
         schedule = make_quasicyclic_random(m, draw(st.integers(1, 6)), seed)
+    return prob, schedule, seed
+
+
+@st.composite
+def runs(draw):
+    """A generated problem, schedule, start point and error model."""
+    prob, schedule, seed = draw(problems())
     errors = SeededDecayErrors(draw(st.floats(1e-4, 0.5)),
                                seed=draw(st.integers(0, 2**32 - 1)),
                                p=draw(st.floats(1.1, 3.0)))
@@ -102,3 +109,45 @@ def test_trace_csv_round_trips_every_column(case, economical, with_ref):
         assert ([getattr(rec, column) for rec in read]
                 == [getattr(rec, column) for rec in trace]), column
     assert all(rec.x is None for rec in read)
+
+
+@settings(deadline=None, max_examples=40)
+@given(problems(), st.integers(100, 600), st.integers(1, 20),
+       st.floats(-12.0, -1.0), st.booleans())
+def test_skipped_checks_change_nothing_but_their_residuals(
+        case, max_iters, check_every, log_tol, economical):
+    """An error-free run with a tolerance may skip scheduled checks; the same
+    run at tol_residual -1 runs every one. Skipping leaves the iterates,
+    blocks, steps and distances bit for bit, each residual it records is the
+    one the full run records, it stops no earlier than the full run's first
+    passing check, and it skips at most 19 scheduled checks in a row."""
+    prob, schedule, seed = case
+    runner = run_economical if economical else run
+    x0 = 3.0 * np.random.default_rng(seed).standard_normal(prob.dim)
+    tol = 10.0 ** log_tol
+
+    def solve(tol_residual):
+        cfg = SolverConfig(weights=prob.weights, schedule=schedule,
+                           max_iters=max_iters, tol_residual=tol_residual,
+                           check_every=check_every)
+        return runner(prob.t0, prob.ts, cfg, x0, x_ref=np.zeros(prob.dim))
+
+    gated, full = solve(tol), solve(-1.0)
+    # the stop, and the cap, are decided on a measured residual
+    assert gated.trace[-1].residual is not None
+    for a, b in zip(gated.trace, full.trace):
+        assert np.array_equal(a.x, b.x) and a.dist_ref == b.dist_ref
+        assert a.block == b.block and a.step == b.step or a is gated.trace[-1]
+        assert a.residual is None or a.residual == b.residual
+    first_pass = next((rec.n for rec in full.trace if rec.residual is not None
+                       and rec.residual <= tol), max_iters)
+    assert gated.iterations >= first_pass
+    in_a_row = longest = 0
+    for rec in gated.trace:
+        if rec.n % check_every == 0:
+            in_a_row = in_a_row + 1 if rec.residual is None else 0
+            longest = max(longest, in_a_row)
+    assert longest <= 19
+    assert gated.stats["checks_skipped"] == sum(
+        rec.residual is None for rec in gated.trace
+        if rec.n % check_every == 0)

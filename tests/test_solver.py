@@ -682,3 +682,51 @@ class TestEconomicalRunningMean:
         for rec, nxt in zip(res.trace, res.trace[1:]):
             recomputed = prob.weights @ rec.t_buffer
             assert np.max(np.abs(nxt.x - recomputed)) <= 1e-10
+
+
+def _lasso_wide(seed=2, d=20, m=500):
+    """The shape where the gate pays: m=500 rows, cyclic blocks of 10 (K=50)
+    and checks every 10 iterations at a loose tolerance."""
+    A, eta, _ = synthetic_regression(d, m, seed)
+    return lasso_problem(A, eta, reg=1e-3), make_cyclic(m, 10)
+
+
+def _candidates(res, check_every):
+    """The iterations of a run whose stopping check was scheduled."""
+    return [rec.n for rec in res.trace
+            if rec.n % check_every == 0 or rec is res.trace[-1]]
+
+
+class TestStoppingCheckGate:
+    def test_lasso_wide_run_skips_checks_and_counts_them(self):
+        prob, schedule = _lasso_wide()
+        res = prob.solve(schedule, np.zeros(prob.dim), max_iters=100_000,
+                         tol_residual=1e-2, check_every=10)
+        stats = res.stats
+        assert res.converged and stats["checks_skipped"] > 0
+        checked = [rec.n for rec in res.trace if rec.residual is not None]
+        assert stats == {
+            "iterations": res.iterations,
+            "block_evals": sum(len(rec.block) for rec in res.trace[:-1]),
+            "checks": len(checked),
+            "checks_skipped": len(_candidates(res, 10)) - len(checked),
+            "check_evals": len(checked) * prob.m,
+        }
+        # the first check at n >= K and the one that stops the run are run
+        assert checked[-1] == res.iterations
+        assert next(n for n in checked if n >= schedule.K) == schedule.K
+        # the bench's lasso_wide counts: 130 checks at 1,290 iterations when
+        # every candidate ran
+        assert (res.iterations, stats["checks"]) == (1290, 54)
+
+    @pytest.mark.parametrize("gate_off", [
+        {"error_model": SeededDecayErrors(1e-3, seed=1)},
+        {"tol_residual": -1.0, "max_iters": 600}],
+        ids=["error-model", "negative-tolerance"])
+    def test_no_check_skipped_without_the_gate(self, gate_off):
+        prob, schedule = _lasso_wide()
+        kw = {"max_iters": 100_000, "tol_residual": 1e-2, "check_every": 10,
+              **gate_off}
+        res = prob.solve(schedule, np.zeros(prob.dim), **kw)
+        assert res.stats["checks_skipped"] == 0
+        assert res.stats["checks"] == len(_candidates(res, 10)) > 1
