@@ -200,7 +200,7 @@ def read_trace_csv(path):
                                  f"expected {k - 2}, got {n}")
             values = [float(raw) if raw else None
                       for raw in (residual, step, err0, errsum, dist)]
-            members = (Block(list(map(int, block.split("|")))) if block
+            members = (Block(int(v) for v in block.split("|")) if block
                        else None)
             trace.append(TraceRecord(k - 2, None, members, *values))
         except ValueError as exc:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,15 +63,13 @@ class Block:
     __slots__ = ("idx", "rows")
 
     def __new__(cls, members=()):
-        ordered = _increasing(members)
-        if ordered is None:
-            members = set(members)
-            try:
-                ordered = sorted(members)
-            except TypeError:           # unordered kinds, such as 1 and "a"
-                ordered = sorted(members, key=repr)
-        if not ordered:
+        members = set(members)
+        if not members:
             return cls.from_sorted(np.empty(0, np.intp))
+        try:
+            ordered = sorted(members)
+        except TypeError:           # unordered kinds, such as 1 and "a"
+            ordered = sorted(members, key=repr)
         idx, bound = np.array(ordered), 2**62
         if (idx.dtype.kind not in "iu" or ordered[0] < -bound
                 or ordered[-1] > bound):
@@ -141,18 +138,6 @@ class Block:
 
 # the slots' own setters: Block.__setattr__ refuses every assignment
 _set_idx, _set_rows = Block.idx.__set__, Block.rows.__set__
-
-
-def _increasing(members):
-    """``members`` itself when it is a list in strictly increasing order, as
-    a written trace's blocks are: already the sorted set, so a Block skips
-    the set and the sort. None for anything else."""
-    if type(members) is not list:
-        return None
-    try:
-        return members if all(map(operator.lt, members, members[1:])) else None
-    except TypeError:               # unordered kinds, such as 1 and "a"
-        return None
 
 
 def as_block(members):

@@ -222,8 +222,9 @@ class SolverConfig:
     candidate stopping checks, each a full sweep of operator evaluations.
     A run with no ``error_model`` and ``tol_residual`` >= 0 skips a
     candidate whose recorded steps predict a residual above the tolerance,
-    but never more than 19 in a row, nor a candidate before n = K or at the
-    cap (see ``_run_core``). A negative ``tol_residual`` disables the rule,
+    but never more than 19 in a row, nor one 4K or more iterations after
+    the last check run, nor a candidate before n = K or at the cap (see
+    ``_run_core``). A negative ``tol_residual`` disables the rule,
     leaving only the ``max_iters`` cap; every candidate check then runs.
     ``t_init`` overrides the default stale-buffer seed (the start point
     replicated).
@@ -270,10 +271,10 @@ class TraceRecord:
 
 @dataclass
 class SolverResult:
-    """``stats`` counts what the run did: ``iterations``, ``block_evals``
-    (inner evaluations in block updates), ``checks`` (stopping checks run),
-    ``checks_skipped`` (scheduled checks the predictor skipped) and
-    ``check_evals`` (inner evaluations in the checks, m per check)."""
+    """``stats`` counts what the run did: ``block_evals`` (inner
+    evaluations in block updates), ``checks`` (stopping checks run, m inner
+    evaluations each) and ``checks_skipped`` (candidate checks the predictor
+    skipped)."""
 
     x: np.ndarray
     converged: bool
@@ -457,18 +458,26 @@ def run_economical(t0, ts, cfg, x0, x_ref=None):
 # (0.02-0.03 at m=500, K=50). So the rule takes the ratio from the last
 # check run at some n_c >= K, with residual r_c and window sum S_c: a
 # scheduled check at n >= K is skipped when r_c S_n / S_c exceeds
-# _CHECK_MARGIN times the tolerance, and forced once _FORCE_AFTER candidates
-# have passed since n_c, so at most 19 in a row are skipped. Surveyed over
-# 264 error-free runs (lasso at m=30 and m=500, least squares at m=2000, each
-# cyclic and quasicyclic; tolerances 1e-1 to 1e-11; check_every 1, 5, 10 and
-# 20; up to 20,000 iterations), none stopped later than with every check,
-# and 12% of the scheduled checks ran. A margin of 1, with window sums taken
-# before n >= K too, stopped late in 73 of them, worst 110 -> 210 iterations.
-# The residual is not monotone, so late stops remain possible: 70 of 1,000
-# generated error-free runs on small problems (m <= 26, 100-600 iterations)
-# stopped late, by at most 25 iterations.
+# _CHECK_MARGIN times the tolerance, and forced once n - n_c reaches
+# _FORCE_AFTER candidates or _FORCE_WINDOWS K-windows, whichever is fewer
+# iterations. So at most 19 candidates in a row are skipped, a skipped span
+# is shorter than 4K iterations, and with check_every >= 4K nothing is
+# skipped. Surveyed by replaying the rule on every-iteration residual series
+# of 7 error-free runs (lasso at m=30, cyclic K=6, quasicyclic K=5 and full
+# activation K=1; lasso at m=500, cyclic and quasicyclic K=50; least squares
+# at m=2000, cyclic and quasicyclic K=20; 20,000 iterations), tolerances
+# 1e-1 to 1e-13 and check_every 1 to 500: of 810 combinations none stopped
+# later than with every check, and 14% of the scheduled checks ran (11% with
+# the 19-candidate bound alone). A margin of 1, with window sums taken
+# before n >= K too, stopped late in 73 of an earlier 264 combinations
+# (check_every 1 to 20), worst 110 -> 210 iterations. The residual is not
+# monotone, so late stops remain possible on small problems: over 300
+# generated ones (m <= 26, 100-600 iterations, check_every 1 to 200), 197
+# of 5,672 combinations stopped late, none with check_every >= 50; the
+# 19-candidate bound alone gave 230, worst 150 -> 200 at check_every 50.
 _CHECK_MARGIN = 2.0
 _FORCE_AFTER = 20
+_FORCE_WINDOWS = 4
 
 
 def _run_core(t0, ts, cfg, x0, x_ref, economical):
@@ -507,7 +516,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
     # (n_c, r_c, S_c) of the last check run at some n_c >= K; S_c = 0 until
     # there is one, so nothing is skipped before it
     basis = (None, None, 0.0)
-    force_span = _FORCE_AFTER * cfg.check_every
+    force_span = min(_FORCE_AFTER * cfg.check_every, _FORCE_WINDOWS * K)
     block_evals = checks = skipped = 0
     n = 0
     while True:
@@ -596,8 +605,8 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         trace=trace,
         sum_err0=sum_err0,
         sum_lagged_errors=sum_lagged,
-        stats={"iterations": n, "block_evals": block_evals, "checks": checks,
-               "checks_skipped": skipped, "check_evals": checks * m},
+        stats={"block_evals": block_evals, "checks": checks,
+               "checks_skipped": skipped},
     )
 
 

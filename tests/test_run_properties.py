@@ -112,15 +112,17 @@ def test_trace_csv_round_trips_every_column(case, economical, with_ref):
 
 
 @settings(deadline=None, max_examples=40)
-@given(problems(), st.integers(100, 600), st.integers(1, 20),
-       st.floats(-12.0, -1.0), st.booleans())
+@given(problems(), st.integers(100, 600),
+       st.integers(1, 20) | st.integers(21, 300), st.floats(-12.0, -1.0),
+       st.booleans())
 def test_skipped_checks_change_nothing_but_their_residuals(
         case, max_iters, check_every, log_tol, economical):
     """An error-free run with a tolerance may skip scheduled checks; the same
     run at tol_residual -1 runs every one. Skipping leaves the iterates,
     blocks, steps and distances bit for bit, each residual it records is the
     one the full run records, it stops no earlier than the full run's first
-    passing check, and it skips at most 19 scheduled checks in a row."""
+    passing check, it skips at most 19 scheduled checks in a row, and no
+    skipped check lies 4K or more iterations after the last one run."""
     prob, schedule, seed = case
     runner = run_economical if economical else run
     x0 = 3.0 * np.random.default_rng(seed).standard_normal(prob.dim)
@@ -144,9 +146,13 @@ def test_skipped_checks_change_nothing_but_their_residuals(
     assert gated.iterations >= first_pass
     in_a_row = longest = 0
     for rec in gated.trace:
+        if rec.residual is not None:
+            last_run = rec.n
         if rec.n % check_every == 0:
             in_a_row = in_a_row + 1 if rec.residual is None else 0
             longest = max(longest, in_a_row)
+            assert rec.residual is not None or (rec.n - last_run
+                                                < 4 * schedule.K)
     assert longest <= 19
     assert gated.stats["checks_skipped"] == sum(
         rec.residual is None for rec in gated.trace

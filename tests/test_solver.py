@@ -706,11 +706,9 @@ class TestStoppingCheckGate:
         assert res.converged and stats["checks_skipped"] > 0
         checked = [rec.n for rec in res.trace if rec.residual is not None]
         assert stats == {
-            "iterations": res.iterations,
             "block_evals": sum(len(rec.block) for rec in res.trace[:-1]),
             "checks": len(checked),
             "checks_skipped": len(_candidates(res, 10)) - len(checked),
-            "check_evals": len(checked) * prob.m,
         }
         # the first check at n >= K and the one that stops the run are run
         assert checked[-1] == res.iterations
@@ -718,6 +716,23 @@ class TestStoppingCheckGate:
         # the bench's lasso_wide counts: 130 checks at 1,290 iterations when
         # every candidate ran
         assert (res.iterations, stats["checks"]) == (1290, 54)
+
+    @pytest.mark.parametrize("K, longest", [(3, 11), (10, 19)])
+    def test_skipped_stretch_is_bounded_by_candidates_and_windows(self, K,
+                                                                  longest):
+        # at check_every 1 a skipped stretch ends at 19 candidates or 4K - 1
+        # iterations after the last check run, whichever comes first; this
+        # run reaches the bound many times over
+        A, eta, _ = synthetic_regression(20, 30, 2)
+        prob = lasso_problem(A, eta, reg=1e-3)
+        res = prob.solve(make_quasicyclic_random(30, K, 1), np.zeros(20),
+                         max_iters=3000, tol_residual=1e-12, check_every=1)
+        assert res.converged
+        in_a_row = seen = 0
+        for rec in res.trace:
+            in_a_row = in_a_row + 1 if rec.residual is None else 0
+            seen = max(seen, in_a_row)
+        assert seen == longest
 
     @pytest.mark.parametrize("gate_off", [
         {"error_model": SeededDecayErrors(1e-3, seed=1)},
