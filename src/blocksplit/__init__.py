@@ -3,8 +3,8 @@ operators, computed while re-evaluating only a block of the operators per
 iteration and recycling stale evaluations."""
 
 from .operators import (AveragedOp, NonFiniteError, RowStack, apply,
-                        as_point, certify_averaged, compose,
-                        convex_combination, identity_op, relax, scaling_op)
+                        as_point, certify_averaged, compose, identity_op,
+                        relax, scaling_op)
 from .schedules import (Block, BlockSchedule, CoveringError,
                         check_concentrating, last_activation,
                         lag_identity_check, make_cyclic, make_explicit,
@@ -24,8 +24,7 @@ from .problems import (BuiltProblem, alternating_projections,
                        lasso_problem, least_squares_feasibility,
                        logistic_problem, normal_cone_resolvent,
                        quadratic_resolvent)
-from .harness import (OracleResult, direct_mann_iteration,
-                      oracle_least_squares, oracle_prox_grad_reference,
-                      run_experiment)
+from .harness import (OracleResult, oracle_least_squares,
+                      oracle_prox_grad_reference, run_experiment)
 
 __version__ = "0.1.0"

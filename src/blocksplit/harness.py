@@ -97,22 +97,6 @@ def oracle_prox_grad_reference(problem, tol=1e-13, max_iters=500_000, x0=None,
     return OracleResult(solution=x, method="prox-grad-full", accuracy=accuracy)
 
 
-def direct_mann_iteration(t0, ts, weights, x0, iters):
-    """Plain full-activation composition loop x <- T0(sum_i w_i T_i x).
-
-    Kept free of the block solver's buffers and compensated sums on purpose;
-    used as the reduction oracle for full activation runs.
-    """
-    w = np.asarray(weights, dtype=float)
-    x = np.asarray(x0, dtype=float).copy()
-    out = [x.copy()]
-    for _ in range(iters):
-        vals = np.stack([np.asarray(T(x), dtype=float) for T in ts])
-        x = np.asarray(t0((w[:, None] * vals).sum(axis=0)), dtype=float)
-        out.append(x.copy())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # synthetic data
 

@@ -279,34 +279,6 @@ def scaling_op(dim, c):
                       name=f"{c}*id")
 
 
-def convex_combination(ops, weights):
-    """The operator x -> sum_i w_i T_i x.
-
-    A convex combination of alpha_i-averaged operators is (max alpha_i)-averaged,
-    and its Lipschitz constant is the weighted mean of the pieces' constants
-    when all of them are declared. The mean is formed by
-    ``kahan_weighted_sum``, a compensated pairwise sum.
-    """
-    ops = list(ops)
-    if not ops:
-        raise ValueError("need at least one operator")
-    w = check_weights(weights)
-    if w.size != len(ops):
-        raise ValueError("one weight per operator required")
-    dim = ops[0].dim
-    for op in ops:
-        if op.dim != dim:
-            raise ValueError("all operators must share one dimension")
-
-    def fn(x):
-        return kahan_weighted_sum([apply(op, x) for op in ops], w)
-
-    alpha = max(op.alpha for op in ops)
-    lips = [op.lipschitz for op in ops]
-    lipschitz = float(np.dot(w, lips)) if all(l is not None for l in lips) else None
-    return AveragedOp(fn, dim=dim, alpha=alpha, lipschitz=lipschitz, name="combine")
-
-
 def compose(outer, inner_op):
     """The operator x -> outer(inner(x)).
 

@@ -325,6 +325,13 @@ def validate_covering(schedule, horizon):
     covers {1, ..., m}; otherwise returns (n, missing) for the first window
     start n that fails, with the sorted missing indices. The blocks are
     replayed through ``record_activation``; a corrupt block still raises.
+
+    The walk is linear in ``horizon`` and has no cap: a long horizon is a
+    cost, not an error. Over 10**6 steps on a shared 2-CPU machine, cyclic
+    m=6 with blocks of 2 took 2.8 s, and quasicyclic m=30, K=5 took 23 s and
+    370 MB, since its generator keeps every block it draws. One period
+    decides a cyclic schedule, but a shortcut for it would be a second
+    covering rule beside ``record_activation``.
     """
     K = schedule.K
     if horizon < K:

@@ -245,6 +245,8 @@ class SolverConfig:
     record_buffers: bool = False
 
     def __post_init__(self):
+        self.max_iters = as_int(self.max_iters, "max_iters")
+        self.check_every = as_int(self.check_every, "check_every")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.max_iters < 0 or self.check_every < 1:
@@ -642,12 +644,13 @@ def _check_finite(**series):
 
 
 def _verdict(violations, slack, first_n, label):
-    """violations[k] is at n = first_n + k; each must be <= slack (NaN is not)."""
+    """violations[k] is at n = first_n + k; each must be <= slack (NaN is
+    not). The audits refuse a trace that leaves ``violations`` empty."""
     v = np.asarray(violations, dtype=float)
     bad = np.flatnonzero(~(v <= slack))
-    return AuditReport(bool(v.size) and not bad.size,
-                       float(v.max(initial=-np.inf)), slack,
-                       first_n + int(bad[0]) if bad.size else None, v.size, label)
+    return AuditReport(not bad.size, float(v.max()), slack,
+                       first_n + int(bad[0]) if bad.size else None, v.size,
+                       label)
 
 
 def _distances(trace, x_ref):
@@ -674,12 +677,15 @@ def fejer_audit(trace, x_ref, weights, K, slack=None):
     c(i, n) is replayed from the recorded blocks, which must satisfy the
     K-window covering condition (CoveringError otherwise); only the last
     record may lack its block (ValueError otherwise), and every block must
-    name indices in 1..m. The default ``slack`` is 1e-9 * (1 + d_0).
+    name indices in 1..m. A trace of at most K records has no such n and is
+    refused (ValueError). The default ``slack`` is 1e-9 * (1 + d_0).
     """
     w = _audit_weights(weights, K)
     dists = _distances(trace, x_ref)
-    if dists.size == 0:
-        raise ValueError("need at least one recorded iterate")
+    if dists.size <= K:
+        # the inequality starts at n = K-1 and needs iterate n+1
+        raise ValueError(f"need at least K+1 = {K + 1} recorded iterates, "
+                         f"got {dists.size}")
     err0s = [rec.err0 or 0.0 for rec in trace]
     errsums = [rec.errsum or 0.0 for rec in trace]
     _check_finite(distance=dists, err0=err0s, errsum=errsums)

@@ -16,21 +16,11 @@ from blocksplit.schedules import make_cyclic, make_quasicyclic_random
 from blocksplit.solver import (SeededDecayErrors, SolverConfig, _seed_words,
                                run, run_economical)
 
+from support import reference_error
+
 WORD = st.integers(0, 2**32 - 1)
 # steps that repeat within a draw, as a window of iterations makes them
 STEP = st.integers(0, 300) | WORD
-
-
-def reference_error(c, seed, p, i, n, dim):
-    """e_{i,n} drawn the way the error model documents it: one generator per
-    (seed, i, n), its standard normal vector normalised and scaled."""
-    direction = np.random.default_rng([seed, i, n]).standard_normal(dim)
-    nd = norm(direction)
-    if nd == 0.0:
-        direction = np.zeros(dim)
-        direction[0] = 1.0
-        nd = 1.0
-    return (c / (n + 1.0) ** p) * (direction / nd)
 
 
 @settings(deadline=None, max_examples=60)

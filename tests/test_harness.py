@@ -15,7 +15,7 @@ from blocksplit.calculus import Hyperplane, projector_op
 from blocksplit.harness import (ConfigError, EXIT_COVERING, EXIT_CONFIG,
                                 EXIT_DIVERGED, EXIT_NOT_CONVERGED, EXIT_OK,
                                 build_problem_from_config,
-                                direct_mann_iteration, l1_optimality_residual,
+                                l1_optimality_residual,
                                 load_data_csv, oracle_least_squares,
                                 oracle_prox_grad_reference, read_trace_csv,
                                 replay_audits_from_csv, run_experiment,
@@ -82,13 +82,6 @@ class TestProxGradOracle:
         prob = lasso_problem(A, eta, reg=0.01)
         with pytest.raises(RuntimeError, match="tolerance"):
             oracle_prox_grad_reference(prob, tol=1e-13, max_iters=3)
-
-
-def test_direct_mann_loop_is_plain():
-    from blocksplit.operators import identity_op, scaling_op
-    out = direct_mann_iteration(scaling_op(1, 0.5), [identity_op(1)], [1.0],
-                                [8.0], 3)
-    assert [v[0] for v in out] == [8.0, 4.0, 2.0, 1.0]
 
 
 class TestTraceIO:
@@ -745,7 +738,8 @@ class TestCLI:
     @pytest.mark.parametrize("trace, weights, edits, argv, message", [
         ("trace.csv", "a,b", [], [], "could not convert string to float: 'a'"),
         ("missing.csv", "0.5,0.5", [], [], "cannot read trace"),
-        ("empty.csv", "0.5,0.5", [], [], "need at least one recorded iterate"),
+        ("empty.csv", "0.5,0.5", [], [],
+         "need at least K+1 = 2 recorded iterates, got 0"),
         ("halving.csv", "0.5,0.5", [(1, 1, "abc")], [],
          "halving.csv: line 3: malformed trace line '1,abc,0.5,,,1|2,0.5' "
          "(could not convert string to float: 'abc')"),
@@ -775,11 +769,14 @@ class TestCLI:
          "block [1, 3] at n=0 names an index outside 1..2"),
         ("halving.csv", "0.5,0.5", [(1, 6, "")], [],
          "trace has no dist_ref column; rerun with a reference"),
+        ("halving.csv", "0.5,0.5", [], ["--K", "3"],
+         "need at least K+1 = 4 recorded iterates, got 3"),
     ], ids=["bad-weights", "missing-trace", "empty-trace", "bad-float",
             "empty-block-entry", "n-not-its-position",
             "empty-block-before-the-last", "nan-distance", "inf-distance-at-0",
             "noisy-linear-rate", "rho0-alone", "rhos-alone", "rhos-count",
-            "terminal-block-zero", "block-beyond-weights", "empty-dist-ref"])
+            "terminal-block-zero", "block-beyond-weights", "empty-dist-ref",
+            "at-most-K-records"])
     def test_audit_bad_inputs(self, tmp_path, capsys, trace, weights, edits,
                               argv, message):
         (tmp_path / "trace.csv").write_text("n\n")

@@ -9,9 +9,8 @@ from blocksplit import operators
 from blocksplit.calculus import Ball, Box, Halfspace, Hyperplane, projector_op
 from blocksplit.operators import (AveragedOp, NonFiniteError, apply,
                                   certify_averaged, check_weights, compose,
-                                  convex_combination, identity_op,
-                                  kahan_weighted_sum, norm, relax, row_norms,
-                                  scaling_op)
+                                  identity_op, kahan_weighted_sum, norm, relax,
+                                  row_norms, scaling_op)
 
 
 def proj_x_axis():
@@ -46,58 +45,6 @@ class TestApply:
         x = np.array([1.0, 2.0])
         apply(proj_x_axis(), x)
         assert np.array_equal(x, [1.0, 2.0])
-
-
-class TestConvexCombination:
-    def test_two_identities(self):
-        op = convex_combination([identity_op(2), identity_op(2)], [0.5, 0.5])
-        x = np.array([3.0, -1.0])
-        assert np.allclose(op(x), x)
-
-    def test_midpoint_of_zero_map_and_identity(self):
-        op = convex_combination([scaling_op(2, 0.0), identity_op(2)], [0.5, 0.5])
-        assert np.allclose(op([2.0, 0.0]), [1.0, 0.0])
-
-    def test_average_of_axis_projections(self):
-        op = convex_combination([proj_x_axis(), proj_y_axis()], [0.5, 0.5])
-        assert np.allclose(op([2.0, 2.0]), [1.0, 1.0])
-
-    def test_constants_propagate(self):
-        op = convex_combination([scaling_op(2, 0.5), identity_op(2)], [0.25, 0.75])
-        assert op.alpha == pytest.approx(0.5)
-        assert op.lipschitz == pytest.approx(0.25 * 0.5 + 0.75 * 1.0)
-
-    def test_weight_sum_violation(self):
-        with pytest.raises(ValueError):
-            convex_combination([identity_op(1), identity_op(1)], [0.6, 0.6])
-
-    def test_empty_list(self):
-        with pytest.raises(ValueError):
-            convex_combination([], [])
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(11)
-        ops = [projector_op(Halfspace(rng.standard_normal(3), rng.standard_normal()))
-               for _ in range(6)]
-        w = rng.random(6)
-        w /= w.sum()
-        combined = convex_combination(ops, w)
-        perm = rng.permutation(6)
-        shuffled = convex_combination([ops[j] for j in perm], w[perm])
-        for _ in range(50):
-            x = rng.standard_normal(3)
-            assert np.max(np.abs(combined(x) - shuffled(x))) <= 1e-15
-
-    def test_fixed_point_consistency(self):
-        # every op fixes x_hat, so the combination must fix it too
-        x_hat = np.array([0.5, -0.25])
-        ops = [projector_op(Ball([0.5, -0.25], 1.0)),
-               projector_op(Halfspace([1.0, 1.0], 2.0)),
-               identity_op(2)]
-        for op in ops:
-            assert np.linalg.norm(op(x_hat) - x_hat) <= 1e-12
-        combo = convex_combination(ops, [0.2, 0.3, 0.5])
-        assert np.linalg.norm(combo(x_hat) - x_hat) <= 1e-12
 
 
 class TestCompose:

@@ -1,12 +1,16 @@
 """Properties of whole runs over generated problems, schedules and injected
-errors: the plain and economical means agree within a stated rounding bound,
-a trace survives the CSV round trip column for column, its file byte for
-byte, and skipping stopping checks changes nothing but the skipped residuals."""
+errors: the plain run is the paper's iteration as written, bit for bit, and
+the economical one within a stated rounding bound, every run satisfies the
+lagged distance inequality, a trace survives the CSV round trip column for
+column, its file byte for byte, and skipping stopping checks changes nothing
+but the skipped residuals."""
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from blocksplit.harness import (TRACE_HEADER, read_trace_csv,
@@ -14,11 +18,17 @@ from blocksplit.harness import (TRACE_HEADER, read_trace_csv,
                                 write_trace_csv)
 from blocksplit.problems import (lasso_problem, least_squares_feasibility,
                                  logistic_problem)
-from blocksplit.schedules import make_cyclic, make_quasicyclic_random
-from blocksplit.solver import (SeededDecayErrors, SolverConfig, run,
-                               run_economical)
+from blocksplit.operators import norm, relax
+from blocksplit.schedules import (make_cyclic, make_full,
+                                  make_quasicyclic_random)
+from blocksplit.solver import (SeededDecayErrors, SolverConfig, fejer_audit,
+                               run, run_economical)
+
+from support import literal_run
 
 UNIT_ROUNDOFF = 2.0 ** -53
+# the relaxations lambda_{n mod 4} of the non-autonomous families
+LAMBDAS = (1.0, 0.6, 0.8, 0.9)
 
 
 def _build(kind, d, m, seed):
@@ -63,30 +73,117 @@ def runs(draw):
     return prob, cfg, x0
 
 
-@settings(deadline=None, max_examples=40)
-@given(runs())
-def test_plain_and_economical_runs_agree_within_the_rounding_bound(case):
-    """Both runs draw the same errors (a pure function of (i, n)) and see
-    the same blocks; they differ only in how the weighted mean is rounded.
-    Per iteration each mean is off by at most (2m + 8) u S per coordinate,
-    S bounding the magnitudes summed (buffer entries and the running mean),
-    u the unit roundoff. The economical mean carries its error forward, so
+def rounding_bound(prob, trace):
+    """Per-iteration bound on the gap between a plain and an economical
+    run, from the plain run's ``trace``.
+
+    Both runs draw the same errors (a pure function of (i, n)) and see the
+    same blocks; they differ only in how the weighted mean is rounded. Per
+    iteration each mean is off by at most (2m + 8) u S per coordinate, S
+    bounding the magnitudes summed (buffer entries and the running mean), u
+    the unit roundoff. The economical mean carries its error forward, so
     after n iterations it is off by at most n times that, and nonexpansive
     T0 and T_i pass an iterate gap on without growing it. Summing,
 
-        ||x_n - x'_n|| <= sqrt(d) (2m + 8) u S (n + 1)**2.
+        ||x_n - x'_n|| <= sqrt(d) (2m + 8) u S (n + 1)**2,
+
+    and this returns sqrt(d) (2m + 8) u S.
     """
+    scale = 1.0 + max(max(float(np.max(np.abs(rec.x))) for rec in trace),
+                      max(float(np.max(np.abs(rec.t_buffer)))
+                          for rec in trace[:-1]))
+    return np.sqrt(prob.dim) * (2 * prob.m + 8) * UNIT_ROUNDOFF * scale
+
+
+@settings(deadline=None, max_examples=40)
+@given(runs())
+def test_plain_and_economical_runs_agree_within_the_rounding_bound(case):
     prob, cfg, x0 = case
     plain = run(prob.t0, prob.ts, cfg, x0)
     econ = run_economical(prob.t0, prob.ts, cfg, x0)
     assert len(plain.trace) == len(econ.trace)
-    scale = 1.0 + max(max(float(np.max(np.abs(rec.x))) for rec in plain.trace),
-                      max(float(np.max(np.abs(rec.t_buffer)))
-                          for rec in plain.trace[:-1]))
-    per_step = np.sqrt(prob.dim) * (2 * prob.m + 8) * UNIT_ROUNDOFF * scale
+    per_step = rounding_bound(prob, plain.trace)
     for a, b in zip(plain.trace, econ.trace):
         assert a.block == b.block and a.err0 == b.err0
         assert np.linalg.norm(a.x - b.x) <= per_step * (a.n + 1) ** 2
+
+
+def relaxed_families(prob):
+    """T_{0,n} and T_{i,n}: the problem's operators relaxed by
+    lambda_{n mod 4}."""
+    return (lambda n: relax(prob.t0, LAMBDAS[n % 4]),
+            lambda i, n: relax(prob.ts[i - 1], LAMBDAS[n % 4]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(runs(), st.sampled_from(["errors", "error-free", "gated"]),
+       st.booleans(), st.integers(100, 300), st.floats(-12.0, -2.0))
+def test_runs_are_the_literal_iteration(case, mode, families, gated_iters,
+                                        log_tol):
+    """``run`` computes the paper's iteration as ``literal_run`` writes it:
+    the same iterates, buffers and lagged residuals, bit for bit, with or
+    without injected errors, for fixed operators and (i, n) families, and
+    with the stopping checks an error-free run with a tolerance skips.
+    ``run_economical`` stays within the rounding bound of the plain mean."""
+    prob, cfg, x0 = case
+    if mode != "errors":
+        cfg = dataclasses.replace(cfg, error_model=None)
+    if mode == "gated":
+        cfg = dataclasses.replace(cfg, max_iters=gated_iters,
+                                  tol_residual=10.0 ** log_tol)
+    t0, ts = relaxed_families(prob) if families else (prob.t0, prob.ts)
+    plain = run(t0, ts, cfg, x0)
+    xs, buffers, residuals = literal_run(t0, ts, prob.weights, cfg.schedule,
+                                         x0, plain.iterations,
+                                         cfg.error_model)
+    assert len(plain.trace) == len(xs)
+    for rec in plain.trace:
+        assert rec.x.tobytes() == xs[rec.n].tobytes()
+        assert rec.residual is None or rec.residual == residuals[rec.n]
+    for rec, t in zip(plain.trace, buffers):
+        assert rec.t_buffer.tobytes() == t.tobytes()
+    # a gated economical run may stop at another check than the plain one
+    per_step = rounding_bound(prob, plain.trace)
+    for rec, x in zip(run_economical(t0, ts, cfg, x0).trace, xs):
+        assert norm(rec.x - x) <= per_step * (rec.n + 1) ** 2
+
+
+@settings(deadline=None, max_examples=25)
+@given(runs(), st.booleans(), st.booleans(), st.integers(0, 2**16))
+def test_runs_satisfy_the_lagged_distance_inequality(case, economical,
+                                                      errors, at):
+    """Every run, with or without injected errors, passes ``fejer_audit``
+    with its default slack against an error-free full-activation reference
+    at 1e-13, as ``run_experiment`` takes it; a run shorter than K is
+    refused, having nothing to check. Moving one iterate farther from the
+    reference than any bound allows fails the audit at that iterate."""
+    prob, cfg, x0 = case
+    if not errors:
+        cfg = dataclasses.replace(cfg, error_model=None)
+    K = cfg.schedule.K
+    ref = run(prob.t0, prob.ts,
+              SolverConfig(weights=prob.weights, schedule=make_full(prob.m),
+                           max_iters=200_000, tol_residual=1e-13,
+                           check_every=10), x0)
+    assert ref.converged
+    runner = run_economical if economical else run
+    trace = runner(prob.t0, prob.ts, cfg, x0).trace
+    if len(trace) <= K:
+        with pytest.raises(ValueError, match="recorded iterates"):
+            fejer_audit(trace, ref.x, prob.weights, K)
+        return
+    report = fejer_audit(trace, ref.x, prob.weights, K)
+    assert report.passed, report
+
+    # the bound at n is a mean of distances plus the two error terms at n
+    far = (1.0 + report.slack + max(norm(rec.x - ref.x) for rec in trace)
+           + max(rec.err0 + rec.errsum for rec in trace[:-1]))
+    j = K + at % (len(trace) - K)
+    moved = list(trace)
+    moved[j] = dataclasses.replace(trace[j],
+                                   x=ref.x + far * np.eye(prob.dim)[0])
+    report = fejer_audit(moved, ref.x, prob.weights, K)
+    assert not report.passed and report.first_violation_n == j - 1
 
 
 @settings(deadline=None, max_examples=40)

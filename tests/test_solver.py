@@ -5,7 +5,7 @@ import pytest
 
 from blocksplit import solver
 from blocksplit.calculus import Ball, Halfspace, Hyperplane, projector_op
-from blocksplit.harness import direct_mann_iteration, synthetic_regression
+from blocksplit.harness import synthetic_regression
 from blocksplit.operators import (AveragedOp, NonFiniteError, apply,
                                   identity_op, kahan_weighted_sum, scaling_op)
 from blocksplit.problems import (build_cohypomonotone, lasso_problem,
@@ -16,7 +16,7 @@ from blocksplit.schedules import (BlockSchedule, CoveringError,
 from blocksplit.solver import (SeededDecayErrors, SolverConfig, fejer_audit,
                                fixed_point_residual, linear_rate_audit, run,
                                run_economical)
-from support import trace_of
+from support import literal_run, trace_of
 
 AXIS_X = projector_op(Hyperplane([0.0, 1.0], 0.0))
 AXIS_Y = projector_op(Hyperplane([1.0, 0.0], 0.0))
@@ -116,6 +116,30 @@ class TestRunBasics:
             SolverConfig(weights=[1.0], schedule=make_full(1),
                          tol_residual=float("nan"))
 
+    @pytest.mark.parametrize("field, value, count", [
+        ("max_iters", 40.0, 40), ("check_every", 3.0, 3),
+        ("max_iters", np.int64(40), 40), ("max_iters", 40.5, None),
+        ("check_every", 2.5, None), ("max_iters", True, None),
+        ("check_every", False, None), ("max_iters", "40", None)])
+    def test_counts_must_be_integers(self, field, value, count):
+        # an integral float counts as its int; 40.5 used to reach range()
+        # in the error window and 2.5 to check every 5th iteration
+        def config():
+            return SolverConfig(**{
+                "weights": [0.5, 0.5], "schedule": make_cyclic(2, 1),
+                "tol_residual": -1.0, field: value,
+                "error_model": SeededDecayErrors(1e-3, seed=1)})
+
+        if count is None:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{field} must be an integer, got {value!r}")):
+                config()
+            return
+        cfg = config()
+        got = getattr(cfg, field)
+        assert type(got) is int and got == count
+        run(scaling_op(2, 0.5), [AXIS_X, AXIS_Y], cfg, [1.0, 1.0])
+
     def test_nonfinite_error_row_detected(self):
         class InfiniteOuterError:
             def error(self, indices, steps, dim):
@@ -170,7 +194,7 @@ class TestRunBasics:
 
     def test_weights_validated(self):
         cfg = SolverConfig(weights=[0.7, 0.7], schedule=make_full(2), max_iters=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weights must sum to 1"):
             run(identity_op(1), [identity_op(1)] * 2, cfg, [0.0])
 
 
@@ -277,14 +301,15 @@ class TestLaggedStoppingCheck:
 
 class TestFullActivationReduction:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_direct_mann_loop(self, seed):
+    def test_matches_the_literal_iteration(self, seed):
         prob = lasso_instance(seed=seed)
         cfg = SolverConfig(weights=prob.weights, schedule=make_full(prob.m),
                            max_iters=1000, tol_residual=-1.0, check_every=10_000)
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal(prob.dim)
         res = run(prob.t0, prob.ts, cfg, x0)
-        oracle = direct_mann_iteration(prob.t0, prob.ts, prob.weights, x0, 1000)
+        oracle, _, _ = literal_run(prob.t0, prob.ts, prob.weights,
+                                   make_full(prob.m), x0, 1000)
         for rec, ox in zip(res.trace, oracle):
             assert np.max(np.abs(rec.x - ox)) <= 1e-12
 
@@ -319,10 +344,9 @@ class TestEconomicalVariant:
                            tol_residual=-1.0)
         a = run(t0, [T], cfg, [5.0, 5.0])
         b = run_economical(t0, [T], cfg, [5.0, 5.0])
-        x = np.array([5.0, 5.0])
+        xs, _, _ = literal_run(t0, [T], [1.0], make_full(1), [5.0, 5.0], 40)
         for rec in a.trace:
-            assert np.allclose(rec.x, x, atol=1e-14)
-            x = t0(T(x))
+            assert np.allclose(rec.x, xs[rec.n], atol=1e-14)
         assert np.max(np.abs(a.x - b.x)) <= 1e-14
 
 
@@ -577,10 +601,21 @@ class TestFejerAudit:
                 linear_rate_audit(trace, None, 0.5, [1.0, 1.0], [0.5, 0.5],
                                   K=1)
 
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError,
-                           match="need at least one recorded iterate"):
-            fejer_audit([], None, [0.5, 0.5], K=1)
+    @pytest.mark.parametrize("records, K", [(0, 1), (1, 1), (2, 2),
+                                            (3, 3), (5, 500)])
+    def test_trace_of_at_most_K_records_rejected(self, records, K):
+        # the inequality starts at n = K-1 and needs iterate n+1: a shorter
+        # trace checks nothing, and an empty audit is no verdict
+        trace = trace_of([2.0 ** -n for n in range(records)],
+                         [frozenset({1, 2})] * (records - 1) + [None])
+        with pytest.raises(ValueError, match=re.escape(
+                f"need at least K+1 = {K + 1} recorded iterates, got "
+                f"{records}")):
+            fejer_audit(trace, None, [0.5, 0.5], K=K)
+        # K+1 records are checked at n = K-1
+        trace = trace_of([2.0 ** -n for n in range(K + 1)],
+                         [frozenset({1, 2})] * K + [None])
+        assert fejer_audit(trace, None, [0.5, 0.5], K=K).n_checked == 1
 
 
 class TestLinearRateAudit:

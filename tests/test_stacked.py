@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blocksplit.harness import (direct_mann_iteration, synthetic_regression,
-                                synthetic_unit_rows, write_trace_csv)
+from blocksplit.harness import (synthetic_regression, synthetic_unit_rows,
+                                write_trace_csv)
 from blocksplit.operators import AveragedOp, NonFiniteError, RowStack, apply
 from blocksplit.problems import (lasso_problem, least_squares_feasibility,
                                  logistic_problem)
 from blocksplit.schedules import make_cyclic, make_full, make_quasicyclic_random
 from blocksplit.solver import (SeededDecayErrors, SolverConfig,
                                fixed_point_residual, run, run_economical)
+from support import literal_run
 
 
 def _lasso(d=6, m=40, seed=3):
@@ -344,7 +345,7 @@ def test_kernel_of_the_wrong_shape_is_rejected():
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_acceptance_bounds_hold_on_the_stacked_path(name):
     """Criteria 02 (plain and economical within 1e-10) and 03 (full
-    activation within 1e-12 of the direct loop) on a RowStack."""
+    activation within 1e-12 of the literal iteration) on a RowStack."""
     prob = BUILDERS[name](m=12)
     assert isinstance(prob.ts, RowStack)
     cfg = SolverConfig(weights=prob.weights,
@@ -360,6 +361,7 @@ def test_acceptance_bounds_hold_on_the_stacked_path(name):
                        max_iters=1000, tol_residual=-1.0, check_every=10_000)
     x0 = np.random.default_rng(0).standard_normal(prob.dim)
     res = run(prob.t0, prob.ts, cfg, x0)
-    oracle = direct_mann_iteration(prob.t0, prob.ts, prob.weights, x0, 1000)
+    oracle, _, _ = literal_run(prob.t0, prob.ts, prob.weights,
+                               make_full(prob.m), x0, 1000)
     assert max(float(np.max(np.abs(rec.x - ox)))
                for rec, ox in zip(res.trace, oracle)) <= 1e-12
