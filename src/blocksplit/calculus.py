@@ -38,6 +38,13 @@ class Box(ConvexSet):
         self.upper = np.asarray(upper, dtype=float)
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise ValueError("box bounds must be 1-D and equally shaped")
+        # an infinite bound is well defined, unless it leaves the box empty
+        for name, bound, empty in (("lower", self.lower, np.inf),
+                                   ("upper", self.upper, -np.inf)):
+            bad = bound[np.isnan(bound) | (bound == empty)]
+            if bad.size:
+                raise ValueError(f"box {name} bound {float(bad[0])} is NaN or "
+                                 f"leaves the box empty")
         if np.any(self.lower > self.upper):
             raise ValueError("empty box: lower > upper somewhere")
         self.dim = self.lower.size
@@ -61,6 +68,10 @@ class Halfspace(ConvexSet):
         if not tiny <= self._aa < np.inf:
             raise ValueError(f"{type(self).__name__.lower()} normal a must have "
                              f"<a, a> in [{tiny!r}, inf), got {self._aa!r}")
+        # b = +inf makes a halfspace the whole space; NaN or -inf, no set
+        if not self.b > -np.inf:
+            raise ValueError(f"{type(self).__name__.lower()} offset b must not "
+                             f"be NaN or -inf, got {self.b!r}")
 
     def project(self, x):
         x = as_point(x, dim=self.dim)
@@ -71,7 +82,13 @@ class Halfspace(ConvexSet):
 
 
 class Hyperplane(Halfspace):
-    """{x : <a, x> = b}, with ``a`` as for ``Halfspace``."""
+    """{x : <a, x> = b}, with ``a`` as for ``Halfspace`` and a finite b."""
+
+    def __init__(self, a, b):
+        super().__init__(a, b)
+        if self.b == np.inf:
+            raise ValueError(f"hyperplane offset b must be finite, got "
+                             f"{self.b!r}")
 
     def project(self, x):
         x = as_point(x, dim=self.dim)
@@ -82,8 +99,9 @@ class Ball(ConvexSet):
     def __init__(self, center, radius):
         self.center = as_point(center)
         self.radius = float(radius)
-        if self.radius <= 0.0:
-            raise ValueError("ball radius must be positive")
+        if not self.radius > 0.0:
+            raise ValueError(f"ball radius must be positive, got "
+                             f"{self.radius!r}")
         self.dim = self.center.size
 
     def project(self, x):
@@ -104,6 +122,9 @@ class AffineSubspace(ConvexSet):
         self.b = np.asarray(b, dtype=float)
         if self.A.ndim != 2 or self.b.shape != (self.A.shape[0],):
             raise ValueError("need a k x d matrix and a length-k right-hand side")
+        for name, value in (("matrix A", self.A), ("right-hand side b", self.b)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"affine {name} must be finite")
         self.dim = self.A.shape[1]
         gram = self.A @ self.A.T
         try:
@@ -191,13 +212,13 @@ def prox_l1_op(dim, t):
 # ---------------------------------------------------------------------------
 # resolvents
 
-def _check_monotone_linear(A, tol=1e-10):
+def _check_monotone_linear(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
     sym = 0.5 * (A + A.T)
     lo = float(np.linalg.eigvalsh(sym).min())
-    if lo < -tol:
+    if lo < -1e-10:
         raise ValueError(f"matrix is not monotone: min eigenvalue {lo} of symmetric part")
     return A
 

@@ -35,7 +35,6 @@ class ConfigError(ValueError):
 @dataclass
 class OracleResult:
     solution: np.ndarray
-    method: str
     accuracy: float
 
 
@@ -49,7 +48,7 @@ def oracle_least_squares(rows, targets):
         raise ValueError("normal matrix is rank deficient")
     x = np.linalg.solve(gram, rhs)
     accuracy = float(np.linalg.norm(gram @ x - rhs))
-    return OracleResult(solution=x, method="normal-equations", accuracy=accuracy)
+    return OracleResult(solution=x, accuracy=accuracy)
 
 
 def l1_optimality_residual(x, smooth_grad_value, l1_weight):
@@ -62,10 +61,10 @@ def l1_optimality_residual(x, smooth_grad_value, l1_weight):
     return float(np.max(np.where(active, res_active, res_inactive)))
 
 
-def oracle_prox_grad_reference(problem, tol=1e-13, max_iters=500_000, x0=None,
+def oracle_prox_grad_reference(problem, tol=1e-13, max_iters=500_000,
                                optimality_tol=1e-8):
     """High-accuracy minimizer via a plain full-activation proximal gradient
-    loop, written independently of the block solver.
+    loop from 0, written independently of the block solver.
 
     The aggregated gradient and the prox are taken from the problem metadata;
     optimality is verified through the l1 subgradient condition when the
@@ -77,7 +76,7 @@ def oracle_prox_grad_reference(problem, tol=1e-13, max_iters=500_000, x0=None,
     gamma = problem.gamma
     if g is None or prox is None or gamma is None:
         raise ValueError("problem does not expose prox-gradient pieces")
-    x = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(problem.dim)
     for _ in range(max_iters):
         x_new = np.asarray(prox(gamma, x - gamma * g(x)), dtype=float)
         if norm(x_new - x) <= tol:
@@ -94,43 +93,42 @@ def oracle_prox_grad_reference(problem, tol=1e-13, max_iters=500_000, x0=None,
     if accuracy > optimality_tol:
         raise RuntimeError(f"oracle optimality residual {accuracy:.3e} exceeds "
                            f"{optimality_tol}")
-    return OracleResult(solution=x, method="prox-grad-full", accuracy=accuracy)
+    return OracleResult(solution=x, accuracy=accuracy)
 
 
 # ---------------------------------------------------------------------------
 # synthetic data
 
-def synthetic_regression(n_features, m, seed, density=0.5, noise=0.1,
-                         sing_range=(0.7, 1.3)):
+def synthetic_regression(n_features, m, seed):
     """Random sparse-ground-truth regression rows and targets.
 
     The design matrix is assembled from its singular value decomposition with
-    singular values drawn in ``sing_range``, which keeps the instances well
+    singular values drawn in [0.7, 1.3), which keeps the instances well
     conditioned and the desk-scale runs short.
     """
     if m < n_features:
         raise ValueError("need at least as many rows as features")
     rng = np.random.default_rng(seed)
     x_true = rng.standard_normal(n_features)
-    mask = rng.random(n_features) < density
+    mask = rng.random(n_features) < 0.5
     if not mask.any():
         mask[0] = True
     x_true = np.where(mask, x_true, 0.0)
     U, _ = np.linalg.qr(rng.standard_normal((m, n_features)))
     V, _ = np.linalg.qr(rng.standard_normal((n_features, n_features)))
-    s = rng.uniform(*sing_range, size=n_features)
+    s = rng.uniform(0.7, 1.3, size=n_features)
     A = U @ (s[:, None] * V.T)
-    eta = A @ x_true + noise * rng.standard_normal(m)
+    eta = A @ x_true + 0.1 * rng.standard_normal(m)
     return A, eta, x_true
 
 
-def synthetic_unit_rows(n_features, m, seed, noise=0.3):
+def synthetic_unit_rows(n_features, m, seed):
     """Unit-norm rows and inconsistent targets for least-squares relaxation."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n_features))
     A /= np.linalg.norm(A, axis=1, keepdims=True)
     x_true = rng.standard_normal(n_features)
-    eta = A @ x_true + noise * rng.standard_normal(m)
+    eta = A @ x_true + 0.3 * rng.standard_normal(m)
     return A, eta
 
 

@@ -125,9 +125,9 @@ def _twosum_tree(rows, err):
     return src[0]
 
 
-def check_weights(weights, tol=1e-12):
-    """Validate finite, strictly positive weights summing to one, return as
-    array."""
+def check_weights(weights):
+    """Validate finite, strictly positive weights summing to one within
+    1e-12, return as array."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a nonempty 1-D sequence")
@@ -136,8 +136,8 @@ def check_weights(weights, tol=1e-12):
         raise ValueError(f"weights must be finite, got {w[~finite][0]}")
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
-    if abs(float(w.sum()) - 1.0) > tol:
-        raise ValueError(f"weights must sum to 1 within {tol}, got {w.sum()!r}")
+    if abs(float(w.sum()) - 1.0) > 1e-12:
+        raise ValueError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")
     return w
 
 
@@ -323,15 +323,12 @@ class Certificate:
     max_violation: float        # max normalized defect of the averagedness bound
     lipschitz_checked: bool
     max_lipschitz_violation: float
-    sample_count: int
-    alpha: float
-    tol: float
 
     def __bool__(self):
         return self.passed
 
 
-def certify_averaged(op, sample_count=10_000, seed=0, tol=1e-10, spread=2.0):
+def certify_averaged(op, sample_count=10_000, seed=0):
     """Check the declared alpha of ``op`` on seeded random pairs.
 
     For an alpha-averaged T and any x, y,
@@ -340,7 +337,7 @@ def certify_averaged(op, sample_count=10_000, seed=0, tol=1e-10, spread=2.0):
                          - ((1 - alpha)/alpha) ||(x - Tx) - (y - Ty)||^2,
 
     so the sampled defect, normalized by 1 + ||x - y||^2, must stay below
-    ``tol``. When a Lipschitz constant rho is declared, ||Tx - Ty|| is also
+    1e-10. When a Lipschitz constant rho is declared, ||Tx - Ty|| is also
     checked against rho ||x - y|| with the analogous normalization.
     """
     if sample_count < 1:
@@ -351,8 +348,8 @@ def certify_averaged(op, sample_count=10_000, seed=0, tol=1e-10, spread=2.0):
     max_lip = -np.inf
     check_lip = op.lipschitz is not None
     for _ in range(sample_count):
-        x = spread * rng.standard_normal(op.dim)
-        y = spread * rng.standard_normal(op.dim)
+        x = 2.0 * rng.standard_normal(op.dim)
+        y = 2.0 * rng.standard_normal(op.dim)
         tx = apply(op, x)
         ty = apply(op, y)
         dxy2 = float(np.dot(x - y, x - y))
@@ -363,13 +360,10 @@ def certify_averaged(op, sample_count=10_000, seed=0, tol=1e-10, spread=2.0):
         if check_lip:
             lip_defect = np.sqrt(dtt2) - op.lipschitz * np.sqrt(dxy2)
             max_lip = max(max_lip, lip_defect / (1.0 + np.sqrt(dxy2)))
-    passed = max_violation <= tol and (not check_lip or max_lip <= tol)
+    passed = max_violation <= 1e-10 and (not check_lip or max_lip <= 1e-10)
     return Certificate(
         passed=passed,
         max_violation=float(max_violation),
         lipschitz_checked=check_lip,
         max_lipschitz_violation=float(max_lip) if check_lip else 0.0,
-        sample_count=sample_count,
-        alpha=op.alpha,
-        tol=tol,
     )

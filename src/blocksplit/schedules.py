@@ -448,10 +448,10 @@ class ConcentratingReport:
         return self.passed
 
 
-def check_concentrating(rows, K, sum_tol=1e-12):
+def check_concentrating(rows, K):
     """Verify the three concentrating-array conditions on the given rows.
 
-    (i) each row sums to 1 within ``sum_tol``; (ii) no mass at depth
+    (i) each row sums to 1 within 1e-12; (ii) no mass at depth
     n - j >= K; (iii) the diagonal masses are bounded away from 0. The report
     carries the observed diagonal infimum and the first few failures.
     """
@@ -459,7 +459,7 @@ def check_concentrating(rows, K, sum_tol=1e-12):
     sum_ok = band_ok = True
     diag_inf = np.inf
     for row in rows:
-        if abs(row.total() - 1.0) > sum_tol:
+        if abs(row.total() - 1.0) > 1e-12:
             sum_ok = False
             failures.append((row.n, "row-sum", row.total()))
         for j, mu in row.entries.items():

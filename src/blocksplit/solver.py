@@ -41,38 +41,23 @@ _MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
 
 
 def _hash_chain(h, mult, count):
-    """(xor constant, multiplier) of ``count`` successive hashmix calls."""
-    out = []
+    """The xor constants and multipliers of ``count`` successive hashmix
+    calls from hash constant ``h``, as two (count, 1) uint32 columns: call k
+    xors with the chain's k-th constant and multiplies by the next."""
+    chain = [h]
     for _ in range(count):
-        prev, h = h, (h * mult) & _MASK32
-        out.append((prev, h))
-    return out
+        chain.append((chain[-1] * mult) & _MASK32)
+    col = np.array(chain, np.uint32)[:, None]
+    return col[:-1], col[1:]
 
 
-def _cross_mix_constants():
-    """Per source word s of the pool, the (4, 1) xor constants and
-    multipliers of hashmix(pool[s]) as mixed into each other word, in the
-    order SeedSequence mixes them; row s is unused."""
-    groups = []
-    for src in range(4):
-        xor = np.zeros((4, 1), np.uint32)
-        mul = np.zeros((4, 1), np.uint32)
-        for k, dst in enumerate(d for d in range(4) if d != src):
-            xor[dst], mul[dst] = _POOL_HASH[4 + 3 * src + k]
-        groups.append((src, xor, mul))
-    return groups
-
-
-def _column(pairs):
-    """The xor constants and the multipliers of ``pairs`` as (k, 1) arrays."""
-    return (np.array(col, np.uint32)[:, None] for col in zip(*pairs))
-
-
-# 4 pool fills, then 12 cross-mixes: source word s into every other word
-_POOL_HASH = _hash_chain(_INIT_A, _MULT_A, 16)
-_FILL_XOR, _FILL_MUL = _column(_POOL_HASH[:4])
-_CROSS = _cross_mix_constants()
-_OUT_XOR, _OUT_MUL = _column(_hash_chain(_INIT_B, _MULT_B, 8))
+# 4 pool fills, then 12 cross-mixes: source word s into every other word, in
+# order, as (4, 1) columns whose row s is unused
+_POOL_XOR, _POOL_MUL = _hash_chain(_INIT_A, _MULT_A, 16)
+_FILL_XOR, _FILL_MUL = _POOL_XOR[:4], _POOL_MUL[:4]
+_CROSS = [(s, *(np.insert(col[4 + 3 * s:7 + 3 * s], s, 0, axis=0)
+                for col in (_POOL_XOR, _POOL_MUL))) for s in range(4)]
+_OUT_XOR, _OUT_MUL = _hash_chain(_INIT_B, _MULT_B, 8)
 _U16 = np.array(16, np.uint32)
 _U_MIX_L = np.array(_MIX_L, np.uint32)
 _U_MIX_R = np.array(_MIX_R, np.uint32)
@@ -412,7 +397,9 @@ def _error_window(model, schedule, block, start, stop, dim):
     iteration start is always in it. Returns one ``(block, rows,
     row_norms)`` entry per iteration, the last iteration first. A block
     fetched past the row bound comes first, with None for its rows: its
-    iteration starts the next window. So each block is fetched once.
+    iteration starts the next window. So each block is fetched once. A
+    draw that is not a float array of one row per index and ``dim`` columns
+    is refused (ValueError).
     """
     max_rows = _ERROR_WINDOW_BYTES // (8 * dim)
     blocks = [block]
@@ -432,6 +419,13 @@ def _error_window(model, schedule, block, start, stop, dim):
     sizes = [1 + b.idx.size for b in blocks]
     steps = np.repeat(np.arange(start, start + len(blocks)), sizes)
     errs = model.error(np.array(indices), steps, dim)
+    expected = (len(indices), dim)
+    if not (isinstance(errs, np.ndarray) and errs.dtype.kind == "f"
+            and errs.shape == expected):
+        got = (f"a {errs.dtype} array of shape {errs.shape}"
+               if isinstance(errs, np.ndarray) else type(errs).__name__)
+        raise ValueError(f"error model returned {got}, expected a float "
+                         f"array of shape {expected}")
     norms = row_norms(errs)
     end = errs.shape[0]
     for b, size in zip(blocks[::-1], sizes[::-1]):
@@ -507,8 +501,6 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         z = w @ tbuf
 
     trace = []
-    sum_err0 = 0.0
-    sum_lagged = 0.0
     # last[i-1]: latest step whose block activated i, -1 before any; it
     # serves the lagged stopping check and the on-the-fly covering test
     last = np.full(m, -1)
@@ -589,9 +581,6 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
             rec.err0 = float(norms[0])
             rec.errsum = float(err_norms.sum())
 
-        if n >= K - 1:
-            sum_err0 += rec.err0
-            sum_lagged += rec.errsum
         rec.block = block
         rec.step = norm(x_next - x)
         if cfg.record_buffers:
@@ -599,14 +588,16 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         x = x_next
         n += 1
 
+    # the error terms of the lagged inequality, n = K-1 to the last update
+    lagged = trace[K - 1:-1]
     return SolverResult(
         x=x,
         converged=converged,
         iterations=n,
         residual=residual,
         trace=trace,
-        sum_err0=sum_err0,
-        sum_lagged_errors=sum_lagged,
+        sum_err0=sum((rec.err0 for rec in lagged), 0.0),
+        sum_lagged_errors=sum((rec.errsum for rec in lagged), 0.0),
         stats={"block_evals": block_evals, "checks": checks,
                "checks_skipped": skipped},
     )

@@ -125,6 +125,51 @@ class TestProjections:
         with pytest.raises(ValueError):
             Box([1.0], [0.0])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Halfspace([1.0, 1.0], np.nan),
+         "halfspace offset b must not be NaN or -inf, got nan"),
+        (lambda: Halfspace([1.0, 1.0], -np.inf),
+         "halfspace offset b must not be NaN or -inf, got -inf"),
+        (lambda: Hyperplane([1.0, 1.0], np.nan),
+         "hyperplane offset b must not be NaN or -inf, got nan"),
+        (lambda: Hyperplane([1.0, 1.0], -np.inf),
+         "hyperplane offset b must not be NaN or -inf, got -inf"),
+        (lambda: Hyperplane([1.0, 1.0], np.inf),
+         "hyperplane offset b must be finite, got inf"),
+        (lambda: Ball([0.0, 0.0], np.nan),
+         "ball radius must be positive, got nan"),
+        (lambda: Box([0.0, np.nan], [1.0, 1.0]),
+         "box lower bound nan is NaN or leaves the box empty"),
+        (lambda: Box([0.0, 0.0], [np.nan, 1.0]),
+         "box upper bound nan is NaN or leaves the box empty"),
+        (lambda: Box([np.inf, 0.0], [np.inf, 1.0]),
+         "box lower bound inf is NaN or leaves the box empty"),
+        (lambda: Box([-np.inf, 0.0], [-np.inf, 1.0]),
+         "box upper bound -inf is NaN or leaves the box empty"),
+        (lambda: AffineSubspace([[1.0, 0.0]], [np.nan]),
+         "affine right-hand side b must be finite"),
+        (lambda: AffineSubspace([[1.0, 0.0]], [np.inf]),
+         "affine right-hand side b must be finite"),
+        (lambda: AffineSubspace([[1.0, np.inf]], [0.0]),
+         "affine matrix A must be finite"),
+    ], ids=["halfspace-b-nan", "halfspace-b-neg-inf", "hyperplane-b-nan",
+            "hyperplane-b-neg-inf", "hyperplane-b-inf", "ball-radius-nan",
+            "box-lower-nan", "box-upper-nan", "box-lower-inf",
+            "box-upper-neg-inf", "affine-b-nan", "affine-b-inf",
+            "affine-A-inf"])
+    def test_parameters_that_leave_no_set_are_refused(self, make, message):
+        # each constructed before, and its projection returned NaN or +-inf
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+    def test_infinite_parameters_that_leave_a_set_are_kept(self):
+        x = np.array([-3.0, 4.0])
+        for cset in (Box([-np.inf, 0.0], [np.inf, np.inf]),
+                     Halfspace([1.0, 1.0], np.inf), Ball([1.0, 0.0], np.inf)):
+            assert np.array_equal(cset.project(x), x)
+        assert np.array_equal(Box([-np.inf, 5.0], [0.0, np.inf]).project(x),
+                              [-3.0, 5.0])
+
     @pytest.mark.parametrize("cset", [
         Box([-1.0, -1.0], [1.0, 2.0]),
         Halfspace([1.0, -1.0], 0.5),

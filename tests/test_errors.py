@@ -3,6 +3,7 @@ a time and bit for bit the draw of numpy's ``default_rng([seed, i, n])``."""
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -216,3 +217,44 @@ def test_windowed_errors_match_the_reference_sums(monkeypatch, runner, schedule,
     tail = sums[schedule.K - 1:]
     assert res.sum_err0 == sum(e0 for e0, _ in tail)
     assert res.sum_lagged_errors == sum(s for _, s in tail)
+
+
+class ColumnErrors:
+    """One error column per index instead of a row of ``dim`` entries."""
+
+    def error(self, indices, steps, dim):
+        return np.full((len(indices), 1), 1e-3)
+
+
+class ShortErrors:
+    """One row fewer than there are indices."""
+
+    def error(self, indices, steps, dim):
+        return np.zeros((len(indices) - 1, dim))
+
+
+class ListErrors:
+    """The right rows, as nested lists instead of an array."""
+
+    def error(self, indices, steps, dim):
+        return np.zeros((len(indices), dim)).tolist()
+
+
+@pytest.mark.parametrize("runner", [run, run_economical])
+@pytest.mark.parametrize("model, got", [
+    (ColumnErrors(), "a float64 array of shape (150, 1)"),
+    (ShortErrors(), "a float64 array of shape (149, 4)"),
+    (ListErrors(), "list"),
+], ids=["column", "short", "list"])
+def test_an_error_draw_of_the_wrong_shape_is_refused(runner, model, got):
+    # a column was broadcast over the 4 coordinates, recording err0 as half
+    # the norm of the error added, and a short draw failed inside numpy
+    A, eta, _ = synthetic_regression(4, 6, seed=3)
+    prob = lasso_problem(A, eta, reg=0.05)
+    # 50 iterations of 1 + 2 rows fit one window
+    cfg = SolverConfig(weights=prob.weights, schedule=make_cyclic(6, 2),
+                       max_iters=50, tol_residual=-1.0, error_model=model)
+    with pytest.raises(ValueError, match=re.escape(
+            f"error model returned {got}, expected a float array of shape "
+            f"(150, 4)")):
+        runner(prob.t0, prob.ts, cfg, np.zeros(prob.dim))

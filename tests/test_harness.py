@@ -357,6 +357,38 @@ class TestCLI:
         assert captured.err.count("\n") == 1
         return code, captured.err
 
+    @pytest.mark.parametrize("variant", ["alternating_projections",
+                                         "common_fixed_point"])
+    @pytest.mark.parametrize("bad, message", [
+        ({"set": "halfspace", "a": [1, 1], "b": -np.inf},
+         "halfspace offset b must not be NaN or -inf, got -inf"),
+        ({"set": "halfspace", "a": [1, 1], "b": np.nan},
+         "halfspace offset b must not be NaN or -inf, got nan"),
+        ({"set": "ball", "center": [0, 0], "radius": np.nan},
+         "ball radius must be positive, got nan"),
+        ({"set": "box", "lower": [0, np.nan], "upper": [1, 1]},
+         "box lower bound nan is NaN or leaves the box empty"),
+    ], ids=["halfspace-b-neg-inf", "halfspace-b-nan", "ball-radius-nan",
+            "box-lower-nan"])
+    def test_solve_set_that_leaves_no_set(self, tmp_path, capsys, variant,
+                                          bad, message):
+        # alternating projections ran and diverged (exit 4), and a common
+        # fixed point failed on a certificate sample that named no field
+        ball = {"set": "ball", "center": [0, 0], "radius": 1}
+        if variant == "alternating_projections":
+            problem, m = {"variant": variant, "C": ball, "D": bad}, 1
+        else:
+            problem, m = {"variant": variant, "sets": [ball, bad]}, 2
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "problem": problem,
+            "schedule": {"type": "cyclic", "m": m, "block_size": 1},
+            "solver": {"x0": [3, 2]}}))
+        code, err = self.cli_error(capsys, ["solve", "--config",
+                                            str(cfg_path)])
+        assert code == EXIT_CONFIG
+        assert err == f"error: invalid {variant} problem config: {message}\n"
+
     def test_solve_x0_of_wrong_length(self, tmp_path, capsys):
         cfg = lasso_config(tmp_path, n=4)
         cfg["solver"]["x0"] = [0.0, 0.0, 0.0]

@@ -6,7 +6,8 @@ from blocksplit.calculus import (Ball, Box, Halfspace, Hyperplane, LinearMap,
 from blocksplit.harness import (oracle_least_squares,
                                 oracle_prox_grad_reference,
                                 synthetic_regression, synthetic_unit_rows)
-from blocksplit.operators import RowStack, certify_averaged, identity_op
+from blocksplit.operators import (AveragedOp, RowStack, certify_averaged,
+                                  identity_op)
 from blocksplit.problems import (alternating_projections,
                                  build_cohypomonotone,
                                  build_common_fixed_point,
@@ -53,10 +54,24 @@ class TestCommonFixedPoint:
             build_common_fixed_point([identity_op(2, alpha=0.9)])
 
     def test_certification_gate(self):
-        from blocksplit.operators import AveragedOp
         liar = AveragedOp(lambda x: 1.5 * x, dim=2, alpha=0.5)
         with pytest.raises(ValueError, match="certificate"):
             build_common_fixed_point([liar])
+
+    @pytest.mark.parametrize("declared, check", [
+        ({"alpha": 0.5, "lipschitz": 0.5}, "Lipschitz"),
+        ({"alpha": 0.1}, "averagedness"),
+    ], ids=["lipschitz", "averagedness"])
+    def test_certificate_names_the_failed_check(self, declared, check):
+        # a ball projector is firmly nonexpansive with constant 1: the
+        # Lipschitz failure was reported as the passed averagedness check,
+        # with its negative violation
+        op = AveragedOp(Ball([0.0, 0.0], 1.0).project, dim=2,
+                        name="proj-claims", **declared)
+        with pytest.raises(ValueError, match=(
+                rf"common fixed point: operator 'proj-claims' failed its "
+                rf"{check} certificate \(max violation \d\.\d{{3}}e[-+]\d+\)")):
+            build_common_fixed_point([op, op])
 
     def test_rejects_mixed_dimensions(self):
         ops = [projector_op(Ball([0.0, 0.0, 0.0], 1.0)),

@@ -1,9 +1,10 @@
 """Properties of whole runs over generated problems, schedules and injected
 errors: the plain run is the paper's iteration as written, bit for bit, and
 the economical one within a stated rounding bound, every run satisfies the
-lagged distance inequality, a trace survives the CSV round trip column for
-column, its file byte for byte, and skipping stopping checks changes nothing
-but the skipped residuals."""
+lagged distance inequality, a contractive run stays inside the linear
+envelope, a trace survives the CSV round trip column for column, its file
+byte for byte, and skipping stopping checks changes nothing but the skipped
+residuals."""
 
 import dataclasses
 import tempfile
@@ -13,16 +14,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blocksplit.calculus import Ball, Halfspace, Hyperplane, projector_op
 from blocksplit.harness import (TRACE_HEADER, read_trace_csv,
                                 synthetic_regression, synthetic_unit_rows,
                                 write_trace_csv)
 from blocksplit.problems import (lasso_problem, least_squares_feasibility,
                                  logistic_problem)
-from blocksplit.operators import norm, relax
+from blocksplit.operators import norm, relax, scaling_op
 from blocksplit.schedules import (make_cyclic, make_full,
                                   make_quasicyclic_random)
 from blocksplit.solver import (SeededDecayErrors, SolverConfig, fejer_audit,
-                               run, run_economical)
+                               linear_rate_audit, run, run_economical)
 
 from support import literal_run
 
@@ -184,6 +186,65 @@ def test_runs_satisfy_the_lagged_distance_inequality(case, economical,
                                    x=ref.x + far * np.eye(prob.dim)[0])
     report = fejer_audit(moved, ref.x, prob.weights, K)
     assert not report.passed and report.first_violation_n == j - 1
+
+
+@st.composite
+def contractions(draw):
+    """T0 = c Id with c in [0.05, 0.99], m projectors onto sets that contain
+    0 (hyperplanes through 0, halfspaces {<a, x> <= b} with b >= 0, balls
+    that contain 0), random weights and schedule, and a start point."""
+    d = draw(st.integers(1, 5))
+    c = draw(st.floats(0.05, 0.99))
+    kinds = draw(st.lists(st.sampled_from(["hyperplane", "halfspace", "ball"]),
+                          min_size=1, max_size=8))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    sets = []
+    for kind in kinds:
+        a = rng.standard_normal(d)
+        if kind == "hyperplane":
+            sets.append(Hyperplane(a, 0.0))
+        elif kind == "halfspace":
+            sets.append(Halfspace(a, rng.uniform(0.0, 2.0)))
+        else:
+            sets.append(Ball(a, norm(a) + rng.uniform(0.01, 1.0)))
+    m = len(sets)
+    raw = rng.uniform(0.1, 1.0, m)
+    if draw(st.booleans()):
+        schedule = make_cyclic(m, draw(st.integers(1, m)))
+    else:
+        schedule = make_quasicyclic_random(m, draw(st.integers(1, 6)), seed)
+    x0 = 3.0 * rng.standard_normal(d)
+    return (scaling_op(d, c), [projector_op(s) for s in sets], raw / raw.sum(),
+            schedule, x0, c)
+
+
+@settings(deadline=None, max_examples=150)
+@given(contractions(), st.booleans(), st.integers(20, 120),
+       st.integers(0, 2**16))
+def test_contractive_runs_stay_inside_the_linear_envelope(case, economical,
+                                                          max_iters, at):
+    """With T0 = c Id and projectors onto sets that contain x_ref = 0,
+    rho = c and every run passes ``linear_rate_audit`` at its default slack.
+    Moving one recorded distance past its envelope fails the audit there."""
+    t0, ts, w, schedule, x0, c = case
+    m, K = len(ts), schedule.K
+    cfg = SolverConfig(weights=w, schedule=schedule, max_iters=max_iters,
+                       tol_residual=-1.0, check_every=max_iters)
+    runner = run_economical if economical else run
+    trace = runner(t0, ts, cfg, x0, x_ref=np.zeros(x0.size)).trace
+    report = linear_rate_audit(trace, None, c, [1.0] * m, w, K)
+    assert report.passed, report
+
+    # the envelope at j >= K, as the audit draws it from d_0, ..., d_{K-1}
+    rho = c * float(np.dot(w, np.ones(m)))
+    head = rho ** ((1.0 - K) / K) * max(rec.dist_ref for rec in trace[:K])
+    j = K + at % (len(trace) - K)
+    moved = list(trace)
+    moved[j] = dataclasses.replace(trace[j],
+                                   dist_ref=head * rho ** (j / K) + 1.0)
+    report = linear_rate_audit(moved, None, c, [1.0] * m, w, K)
+    assert not report.passed and report.first_violation_n == j
 
 
 @settings(deadline=None, max_examples=40)
