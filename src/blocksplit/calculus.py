@@ -59,7 +59,7 @@ class Halfspace(ConvexSet):
     leave x where it is."""
 
     def __init__(self, a, b):
-        self.a = as_point(a)
+        self.a = as_point(a, name=f"{type(self).__name__.lower()} normal a")
         self.b = float(b)
         self.dim = self.a.size
         with np.errstate(over="ignore", under="ignore"):
@@ -97,7 +97,7 @@ class Hyperplane(Halfspace):
 
 class Ball(ConvexSet):
     def __init__(self, center, radius):
-        self.center = as_point(center)
+        self.center = as_point(center, name="ball center")
         self.radius = float(radius)
         if not self.radius > 0.0:
             raise ValueError(f"ball radius must be positive, got "
@@ -140,7 +140,7 @@ class AffineSubspace(ConvexSet):
 
 class Singleton(ConvexSet):
     def __init__(self, point):
-        self.point = as_point(point)
+        self.point = as_point(point, name="singleton point")
         self.dim = self.point.size
 
     def project(self, x):

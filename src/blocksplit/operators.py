@@ -17,17 +17,18 @@ class NonFiniteError(ValueError):
     """An operator produced, or was handed, a NaN/Inf coordinate."""
 
 
-def as_point(x, dim=None):
-    """Coerce ``x`` to a finite 1-D float64 vector, optionally of length ``dim``."""
+def as_point(x, dim=None, name="point"):
+    """Coerce ``x`` to a finite 1-D float64 vector, optionally of length
+    ``dim``; an error names it ``name``."""
     p = np.asarray(x, dtype=float)
     if p.ndim != 1:
         p = np.atleast_1d(p.squeeze())
     if p.ndim != 1:
-        raise ValueError(f"point must be one-dimensional, got shape {p.shape}")
+        raise ValueError(f"{name} must be one-dimensional, got shape {p.shape}")
     if dim is not None and p.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {p.shape[0]}")
     if not np.isfinite(p).all():
-        raise NonFiniteError("point has non-finite coordinates")
+        raise NonFiniteError(f"{name} has non-finite coordinates")
     return p
 
 

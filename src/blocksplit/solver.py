@@ -206,11 +206,13 @@ class SolverConfig:
     must declare alpha < 1/(1 + epsilon). ``check_every`` is the spacing of
     candidate stopping checks, each a full sweep of operator evaluations.
     A run with no ``error_model`` and ``tol_residual`` >= 0 skips a
-    candidate whose recorded steps predict a residual above the tolerance,
-    but never more than 19 in a row, nor one 4K or more iterations after
-    the last check run, nor a candidate before n = K or at the cap (see
-    ``_run_core``). A negative ``tol_residual`` disables the rule,
-    leaving only the ``max_iters`` cap; every candidate check then runs.
+    candidate whose recorded steps predict a residual above a margin times
+    the tolerance, the margin set from how far the run's earlier
+    predictions missed, but never more than 19 in a row, nor one 4K or
+    more iterations after the last check run, nor a candidate before n = K
+    or at the cap (see ``_run_core``). A negative ``tol_residual`` disables
+    the rule, leaving only the ``max_iters`` cap; every candidate check then
+    runs.
     ``t_init`` overrides the default stale-buffer seed (the start point
     replicated).
     """
@@ -453,25 +455,41 @@ def run_economical(t0, ts, cfg, x0, x_ref=None):
 # (m=2000, cyclic, K=20); quasicyclic blocks are larger, and the ratio lower
 # (0.02-0.03 at m=500, K=50). So the rule takes the ratio from the last
 # check run at some n_c >= K, with residual r_c and window sum S_c: a
-# scheduled check at n >= K is skipped when r_c S_n / S_c exceeds
-# _CHECK_MARGIN times the tolerance, and forced once n - n_c reaches
-# _FORCE_AFTER candidates or _FORCE_WINDOWS K-windows, whichever is fewer
-# iterations. So at most 19 candidates in a row are skipped, a skipped span
-# is shorter than 4K iterations, and with check_every >= 4K nothing is
-# skipped. Surveyed by replaying the rule on every-iteration residual series
-# of 7 error-free runs (lasso at m=30, cyclic K=6, quasicyclic K=5 and full
-# activation K=1; lasso at m=500, cyclic and quasicyclic K=50; least squares
-# at m=2000, cyclic and quasicyclic K=20; 20,000 iterations), tolerances
-# 1e-1 to 1e-13 and check_every 1 to 500: of 810 combinations none stopped
-# later than with every check, and 14% of the scheduled checks ran (11% with
-# the 19-candidate bound alone). A margin of 1, with window sums taken
-# before n >= K too, stopped late in 73 of an earlier 264 combinations
-# (check_every 1 to 20), worst 110 -> 210 iterations. The residual is not
-# monotone, so late stops remain possible on small problems: over 300
-# generated ones (m <= 26, 100-600 iterations, check_every 1 to 200), 197
-# of 5,672 combinations stopped late, none with check_every >= 50; the
-# 19-candidate bound alone gave 230, worst 150 -> 200 at check_every 50.
+# scheduled check at n >= K is skipped when r_c S_n / S_c exceeds a margin
+# times the tolerance, and forced once n - n_c reaches _FORCE_AFTER
+# candidates or _FORCE_WINDOWS K-windows, whichever is fewer iterations. So
+# at most 19 candidates in a row are skipped, a skipped span is shorter than
+# 4K iterations, and with check_every >= 4K nothing is skipped.
+#
+# The margin is calibrated from the run's own misses. Each check run at
+# n >= K against a basis compares the measured r_n with the prediction;
+# `miss` is the widest factor between the two, either way. Until
+# _CALIBRATE_AFTER comparisons exist the margin is _CHECK_MARGIN, then
+# _MISS_MARGIN * miss: a run whose ratio holds steady skips more (lasso_wide
+# misses by 1.09 at most, the first comparison at n = 250, so its margin is
+# 1.25 and 27 checks run instead of 54), one whose ratio wanders skips less
+# than at margin 2. Surveyed by replaying both rules on every-iteration
+# residual series. Large: 7 error-free runs (lasso at m=30, cyclic K=6,
+# quasicyclic K=5 and full activation K=1; lasso at m=500, cyclic and
+# quasicyclic K=50; least squares at m=2000, cyclic and quasicyclic K=20;
+# 20,000 iterations), tolerances 1e-1 to 1e-13 and check_every 1 to 500:
+# of 810 combinations none stopped later than with every check at either
+# margin, and the checks run went 48,766 -> 40,085. Generated: 4 samples
+# of 300 problems drawn as tests/test_run_properties.py draws them (m <= 26,
+# 100-600 iterations from 3 N(0, I)), tolerances the residual 25, 50 and 90%
+# of the way through, check_every 1 to 200, 28,800 combinations: late stops
+# 1,815 -> 1,726, late iterations 10,498 -> 10,147, checks 311,382 ->
+# 307,408, and each sample improved on all three. Most late stops there
+# fall where the tolerance is below 1e-13 times the largest residual, in
+# rounding noise, and any one 40-problem sample can go either way. The
+# residual is not monotone, so a late stop is always possible. Not taken:
+# 1.05 plus 4 times the largest shortfall below a prediction (lasso_wide 34
+# checks, but more late stops than margin 2 on every generated sample,
+# 1,815 -> 1,862, and 7 on the large survey when calibrated after the first
+# comparison instead of the fifth).
 _CHECK_MARGIN = 2.0
+_CALIBRATE_AFTER = 5
+_MISS_MARGIN = 1.15
 _FORCE_AFTER = 20
 _FORCE_WINDOWS = 4
 
@@ -510,6 +528,9 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
     # (n_c, r_c, S_c) of the last check run at some n_c >= K; S_c = 0 until
     # there is one, so nothing is skipped before it
     basis = (None, None, 0.0)
+    # the widest factor, either way, by which a check run at n >= K missed
+    # its basis's prediction r_c S_n / S_c, over `seen` such comparisons
+    miss, seen = 1.0, 0
     force_span = min(_FORCE_AFTER * cfg.check_every, _FORCE_WINDOWS * K)
     block_evals = checks = skipped = 0
     n = 0
@@ -524,13 +545,24 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
             s_n = (sum(rec.step for rec in trace[n - K:n])
                    if gated and n >= K else None)
             n_c, r_c, s_c = basis
+            margin = (_CHECK_MARGIN if seen < _CALIBRATE_AFTER
+                      else _MISS_MARGIN * miss)
             if (not at_cap and s_c > 0 and n - n_c < force_span
-                    and r_c * s_n > _CHECK_MARGIN * cfg.tol_residual * s_c):
+                    and r_c * s_n > margin * cfg.tol_residual * s_c):
                 skipped += 1
             else:
                 residual = _residual(x, t0f, inner, w, block, n, last)
                 checks += 1
                 if s_n is not None:
+                    if s_c > 0:
+                        # r_c > tol >= 0, else the run stopped at n_c; a
+                        # prediction or a residual of 0 misses without bound
+                        predicted, measured = r_c * s_n, residual * s_c
+                        miss = (max(miss, predicted / measured,
+                                    measured / predicted)
+                                if predicted > 0 and measured > 0
+                                else math.inf)
+                        seen += 1
                     basis = (n, residual, s_n)
         converged = residual is not None and residual <= cfg.tol_residual
         rec = TraceRecord(n=n, x=x.copy(), residual=residual,

@@ -357,6 +357,24 @@ class TestCLI:
         assert captured.err.count("\n") == 1
         return code, captured.err
 
+    def solve_set_error(self, tmp_path, capsys, variant, bad, message):
+        """``solve`` on a problem with the set spec ``bad`` beside a ball
+        exits 2 with ``message``."""
+        ball = {"set": "ball", "center": [0, 0], "radius": 1}
+        if variant == "alternating_projections":
+            problem, m = {"variant": variant, "C": ball, "D": bad}, 1
+        else:
+            problem, m = {"variant": variant, "sets": [ball, bad]}, 2
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "problem": problem,
+            "schedule": {"type": "cyclic", "m": m, "block_size": 1},
+            "solver": {"x0": [3, 2]}}))
+        code, err = self.cli_error(capsys, ["solve", "--config",
+                                            str(cfg_path)])
+        assert code == EXIT_CONFIG
+        assert err == f"error: invalid {variant} problem config: {message}\n"
+
     @pytest.mark.parametrize("variant", ["alternating_projections",
                                          "common_fixed_point"])
     @pytest.mark.parametrize("bad, message", [
@@ -374,20 +392,26 @@ class TestCLI:
                                           bad, message):
         # alternating projections ran and diverged (exit 4), and a common
         # fixed point failed on a certificate sample that named no field
-        ball = {"set": "ball", "center": [0, 0], "radius": 1}
-        if variant == "alternating_projections":
-            problem, m = {"variant": variant, "C": ball, "D": bad}, 1
-        else:
-            problem, m = {"variant": variant, "sets": [ball, bad]}, 2
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "problem": problem,
-            "schedule": {"type": "cyclic", "m": m, "block_size": 1},
-            "solver": {"x0": [3, 2]}}))
-        code, err = self.cli_error(capsys, ["solve", "--config",
-                                            str(cfg_path)])
-        assert code == EXIT_CONFIG
-        assert err == f"error: invalid {variant} problem config: {message}\n"
+        self.solve_set_error(tmp_path, capsys, variant, bad, message)
+
+    @pytest.mark.parametrize("variant", ["alternating_projections",
+                                         "common_fixed_point"])
+    @pytest.mark.parametrize("bad, message", [
+        ({"set": "ball", "center": [np.nan, 0], "radius": 1},
+         "ball center has non-finite coordinates"),
+        ({"set": "halfspace", "a": [np.nan, 1], "b": 0.5},
+         "halfspace normal a has non-finite coordinates"),
+        ({"set": "hyperplane", "a": [1, np.inf], "b": 0.5},
+         "hyperplane normal a has non-finite coordinates"),
+        ({"set": "singleton", "point": [0, -np.inf]},
+         "singleton point has non-finite coordinates"),
+    ], ids=["ball-center-nan", "halfspace-a-nan", "hyperplane-a-inf",
+            "singleton-point-neg-inf"])
+    def test_solve_set_vector_that_is_not_finite(self, tmp_path, capsys,
+                                                 variant, bad, message):
+        # each was refused as "point has non-finite coordinates", naming
+        # neither the set nor the parameter
+        self.solve_set_error(tmp_path, capsys, variant, bad, message)
 
     def test_solve_x0_of_wrong_length(self, tmp_path, capsys):
         cfg = lasso_config(tmp_path, n=4)

@@ -3,8 +3,9 @@ errors: the plain run is the paper's iteration as written, bit for bit, and
 the economical one within a stated rounding bound, every run satisfies the
 lagged distance inequality, a contractive run stays inside the linear
 envelope, a trace survives the CSV round trip column for column, its file
-byte for byte, and skipping stopping checks changes nothing but the skipped
-residuals."""
+byte for byte, skipping stopping checks changes nothing but the skipped
+residuals, and the checks run are the ones an independent replay of the
+gate picks."""
 
 import dataclasses
 import tempfile
@@ -26,7 +27,8 @@ from blocksplit.schedules import (make_cyclic, make_full,
 from blocksplit.solver import (SeededDecayErrors, SolverConfig, fejer_audit,
                                linear_rate_audit, run, run_economical)
 
-from support import literal_run
+from support import (calibrated_margin, literal_run, margin_two,
+                     replay_gate)
 
 UNIT_ROUNDOFF = 2.0 ** -53
 # the relaxations lambda_{n mod 4} of the non-autonomous families
@@ -315,3 +317,73 @@ def test_skipped_checks_change_nothing_but_their_residuals(
     assert gated.stats["checks_skipped"] == sum(
         rec.residual is None for rec in gated.trace
         if rec.n % check_every == 0)
+
+
+def dense_series(prob, schedule, x0, max_iters, runner=run):
+    """The residual at every n up to ``max_iters`` and the steps of an
+    error-free run that checks every iteration and never stops early: its
+    iterates are those of any error-free run from ``x0``."""
+    cfg = SolverConfig(weights=prob.weights, schedule=schedule,
+                       max_iters=max_iters, tol_residual=-1.0, check_every=1)
+    trace = runner(prob.t0, prob.ts, cfg, x0).trace
+    return ([rec.residual for rec in trace],
+            [rec.step for rec in trace[:-1]])
+
+
+@settings(deadline=None, max_examples=40)
+@given(problems(), st.integers(100, 400),
+       st.integers(1, 20) | st.integers(21, 300), st.floats(0.05, 0.95),
+       st.booleans())
+def test_gated_checks_are_the_ones_the_replay_picks(case, max_iters,
+                                                    check_every, at,
+                                                    economical):
+    """A gated run checks at exactly the n that ``replay_gate`` picks from
+    the dense series, and records there the dense run's residual, bit for
+    bit. The tolerance is the dense residual at a fraction ``at`` of the
+    run, so most runs stop before the cap."""
+    prob, schedule, seed = case
+    runner = run_economical if economical else run
+    x0 = 3.0 * np.random.default_rng(seed).standard_normal(prob.dim)
+    residuals, steps = dense_series(prob, schedule, x0, max_iters, runner)
+    tol = residuals[int(at * max_iters)]
+    cfg = SolverConfig(weights=prob.weights, schedule=schedule,
+                       max_iters=max_iters, tol_residual=tol,
+                       check_every=check_every)
+    gated = runner(prob.t0, prob.ts, cfg, x0)
+    checked = [(rec.n, rec.residual) for rec in gated.trace
+               if rec.residual is not None]
+    picked = replay_gate(residuals, steps, schedule.K, check_every, tol,
+                         calibrated_margin)
+    assert checked == [(n, residuals[n]) for n in picked]
+
+
+def test_calibrated_margin_is_no_worse_than_a_margin_of_two():
+    """Lasso at m=30 under cyclic blocks of 5 (K=6), quasicyclic blocks
+    (K=5) and full activation, 3,000 iterations each, tolerances 1e-1 to
+    1e-13 where the run reaches them and check spacings 1 to 500: the
+    calibrated margin stops late (after the first candidate whose residual
+    passes) no more often and by no more iterations than the fixed margin
+    of 2, and runs fewer checks."""
+    A, eta, _ = synthetic_regression(20, 30, 2)
+    prob = lasso_problem(A, eta, reg=1e-3)
+    totals = {margin_two: [0, 0, 0], calibrated_margin: [0, 0, 0]}
+    for schedule in (make_cyclic(30, 5), make_quasicyclic_random(30, 5, 1),
+                     make_full(30)):
+        residuals, steps = dense_series(prob, schedule, np.zeros(20), 3000)
+        for tol in (10.0 ** -e for e in range(1, 14)):
+            for every in (1, 2, 5, 10, 20, 50, 100, 200, 500):
+                candidates = [*range(0, 3000, every), 3000]
+                first = next((n for n in candidates if residuals[n] <= tol),
+                             None)
+                if first is None:
+                    continue
+                for rule, total in totals.items():
+                    picked = replay_gate(residuals, steps, schedule.K, every,
+                                         tol, rule)
+                    total[0] += picked[-1] > first
+                    total[1] += picked[-1] - first
+                    total[2] += len(picked)
+    late, late_iters, checks = totals[calibrated_margin]
+    base_late, base_late_iters, base_checks = totals[margin_two]
+    assert late <= base_late and late_iters <= base_late_iters
+    assert checks < base_checks

@@ -749,8 +749,8 @@ class TestStoppingCheckGate:
         assert checked[-1] == res.iterations
         assert next(n for n in checked if n >= schedule.K) == schedule.K
         # the bench's lasso_wide counts: 130 checks at 1,290 iterations when
-        # every candidate ran
-        assert (res.iterations, stats["checks"]) == (1290, 54)
+        # every candidate ran, 54 at a fixed margin of 2
+        assert (res.iterations, stats["checks"]) == (1290, 27)
 
     @pytest.mark.parametrize("K, longest", [(3, 11), (10, 19)])
     def test_skipped_stretch_is_bounded_by_candidates_and_windows(self, K,
