@@ -88,6 +88,12 @@ def _cmd_schedule_check(args):
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:
+        # schedules.MAX_M refuses the largest m up front; this is the
+        # machine running out below it
+        print("error: out of memory building or walking the schedule",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     if violation is not None:
         n, missing = violation

@@ -170,16 +170,29 @@ class AveragedOp:
         return apply(self, x)
 
 
+_FLOAT = np.dtype(float)
+
+
 def apply(op, x):
-    """Evaluate ``op`` at ``x`` with dimension and finiteness checks."""
-    p = as_point(x, dim=op.dim)
-    out = np.asarray(op.fn(p), dtype=float)
-    if out.shape != p.shape:
+    """Evaluate ``op`` at ``x`` with dimension and finiteness checks.
+
+    A float64 array of length ``op.dim`` is taken as it is when its sum of
+    squares is finite, which it is only if every coordinate is; ``np.vdot``
+    computes that sum without a floating-point warning. Anything else, a
+    huge finite vector whose square overflows included, goes through
+    ``as_point``, which decides it and gives its error. The output's sum of
+    squares is tested the same way, then scanned if it is not finite.
+    """
+    if not (type(x) is np.ndarray and x.dtype is _FLOAT
+            and x.shape == (op.dim,) and math.isfinite(np.vdot(x, x))):
+        x = as_point(x, dim=op.dim)
+    out = np.asarray(op.fn(x), dtype=float)
+    if out.shape != x.shape:
         raise ValueError(
             f"operator {op.name or op!r} is not dimension-preserving: "
-            f"{p.shape} -> {out.shape}"
+            f"{x.shape} -> {out.shape}"
         )
-    if not np.isfinite(out).all():
+    if not (math.isfinite(np.vdot(out, out)) or np.isfinite(out).all()):
         raise _non_finite(op)
     return out
 

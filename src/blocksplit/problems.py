@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import (ConvexSet, LinearMap, SmoothScalar, grad_distance_penalty,
-                       gradient_step_op, distance_penalty_value, projector_op,
-                       prox_l1)
+                       gradient_step_op, distance_penalty_value, projector_op)
 from .operators import (AveragedOp, RowStack, as_point, certify_averaged,
                         check_weights, identity_op)
 from .solver import SolverConfig, run, run_economical
@@ -323,7 +322,10 @@ def _row_loss_problem(A, eta, sq_norms, loss, dloss, curvature, reg, gamma,
     if reg is None:
         f0_prox = lambda g, x: x
     else:
-        f0_prox = lambda g, x: prox_l1(x, g * reg)
+        # prox_l1's soft threshold without its checks, which repeat those
+        # of apply (on x) and of the builder (on reg and gamma)
+        f0_prox = lambda g, x: np.sign(x) * np.maximum(np.abs(x) - g * reg,
+                                                       0.0)
         meta["l1_weight"] = reg
     prob = build_prox_grad(f0_prox, grads, 1.0 / (curvature * sq_norms),
                            A.shape[1], gamma, weights, objective, meta)

@@ -187,6 +187,20 @@ class BlockSchedule:
         return f"BlockSchedule(m={self.m}, K={self.K}, name={self.name!r})"
 
 
+# The most indices the quasicyclic generator and the covering walk accept.
+# Each keeps int64 arrays with one entry per index, 1 GiB apiece at this
+# bound; a larger m is refused before any of them is allocated, instead of
+# failing in numpy after the request. A cyclic or explicit schedule allocates
+# nothing per index, so it may be larger until it is walked.
+MAX_M = 1 << 27
+
+
+def _check_m(m):
+    if m > MAX_M:
+        raise ValueError(f"schedule.m must be at most {MAX_M}, got {m}: a "
+                         f"schedule keeps 8-byte arrays of m entries")
+
+
 def make_cyclic(m, block_size):
     """Consecutive wrapped index windows of the given size; K = ceil(m / size).
 
@@ -229,9 +243,11 @@ def make_quasicyclic_random(m, K, seed):
     rather than by rejection sampling. The Blocks are cached: ``mu_row``,
     ``last_activation`` and ``validate_covering`` read old blocks, and the
     seeded generator cannot produce block n without replaying it from 0.
+    An m above ``MAX_M`` is refused (ValueError).
     """
     if K < 1:
         raise ValueError("K must be >= 1")
+    _check_m(m)
     rng = np.random.default_rng(seed)
     cache = []
     last = np.full(m, -1)
@@ -331,11 +347,13 @@ def validate_covering(schedule, horizon):
     m=6 with blocks of 2 took 2.8 s, and quasicyclic m=30, K=5 took 23 s and
     370 MB, since its generator keeps every block it draws. One period
     decides a cyclic schedule, but a shortcut for it would be a second
-    covering rule beside ``record_activation``.
+    covering rule beside ``record_activation``. An m above ``MAX_M`` is
+    refused (ValueError) before the walk's array is allocated.
     """
     K = schedule.K
     if horizon < K:
         raise ValueError(f"horizon {horizon} must be at least K={K}")
+    _check_m(schedule.m)
     last = np.full(schedule.m, -1)
     for n in range(horizon):
         block = schedule.block(n)

@@ -494,6 +494,10 @@ _FORCE_AFTER = 20
 _FORCE_WINDOWS = 4
 
 
+# +inf and -inf rows in one column make a NaN mean, and a non-finite row
+# turns a check's TwoSum errors into NaN; apply reports either. One errstate
+# for the whole run, not one per iteration.
+@np.errstate(invalid="ignore")
 def _run_core(t0, ts, cfg, x0, x_ref, economical):
     schedule = cfg.schedule
     m, K = schedule.m, schedule.K
@@ -505,6 +509,10 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
     if x_ref is not None:
         x_ref = as_point(x_ref, dim=dim)
     t0f, inner = _families(t0, ts, m, cfg.epsilon, K)
+    # read once: the loop below runs these per iteration
+    check_every, tol, max_iters = (cfg.check_every, cfg.tol_residual,
+                                   cfg.max_iters)
+    errors, record_buffers = cfg.error_model, cfg.record_buffers
 
     if cfg.t_init is None:
         tbuf = np.tile(x, (m, 1))
@@ -524,22 +532,24 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
     last = np.full(m, -1)
     # injected errors enter the steps and break the predictor, and a
     # negative tolerance makes every check a requested diagnostic
-    gated = cfg.error_model is None and cfg.tol_residual >= 0
+    gated = errors is None and tol >= 0
     # (n_c, r_c, S_c) of the last check run at some n_c >= K; S_c = 0 until
     # there is one, so nothing is skipped before it
     basis = (None, None, 0.0)
     # the widest factor, either way, by which a check run at n >= K missed
     # its basis's prediction r_c S_n / S_c, over `seen` such comparisons
     miss, seen = 1.0, 0
-    force_span = min(_FORCE_AFTER * cfg.check_every, _FORCE_WINDOWS * K)
+    force_span = min(_FORCE_AFTER * check_every, _FORCE_WINDOWS * K)
     block_evals = checks = skipped = 0
     n = 0
     while True:
-        at_cap = n >= cfg.max_iters
-        block, errs, norms = (pending.pop() if pending
-                              else (schedule.block(n), None, None))
+        at_cap = n >= max_iters
+        if pending:
+            block, errs, norms = pending.pop()
+        else:
+            block, errs = schedule.block(n), None
         residual = None
-        if at_cap or n % cfg.check_every == 0:
+        if at_cap or n % check_every == 0:
             # S_n as a plain sum, recomputed at each candidate: no rounding
             # drift builds up, and an overflow gives inf instead of raising
             s_n = (sum(rec.step for rec in trace[n - K:n])
@@ -548,7 +558,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
             margin = (_CHECK_MARGIN if seen < _CALIBRATE_AFTER
                       else _MISS_MARGIN * miss)
             if (not at_cap and s_c > 0 and n - n_c < force_span
-                    and r_c * s_n > margin * cfg.tol_residual * s_c):
+                    and r_c * s_n > margin * tol * s_c):
                 skipped += 1
             else:
                 residual = _residual(x, t0f, inner, w, block, n, last)
@@ -564,7 +574,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
                                 else math.inf)
                         seen += 1
                     basis = (n, residual, s_n)
-        converged = residual is not None and residual <= cfg.tol_residual
+        converged = residual is not None and residual <= tol
         rec = TraceRecord(n=n, x=x.copy(), residual=residual,
                           dist_ref=norm(x - x_ref) if x_ref is not None else None)
         trace.append(rec)
@@ -582,10 +592,10 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
             y = z - wi @ tbuf[rows]
 
         new = inner(x, block, n)
-        if cfg.error_model is not None:
+        if errors is not None:
             if errs is None:
-                pending = _error_window(cfg.error_model, schedule, block, n,
-                                        cfg.max_iters, dim)
+                pending = _error_window(errors, schedule, block, n,
+                                        max_iters, dim)
                 _, errs, norms = pending.pop()
             # row 0 is e_{0,n}, the others e_{i,n} for the active i
             new = new + errs[1:]
@@ -594,18 +604,16 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
         # the economical update below need not gather them back
         new = np.ascontiguousarray(new, dtype=float)
         tbuf[rows] = new
-
-        # +inf and -inf rows in one column make a NaN mean; apply reports it
-        with np.errstate(invalid="ignore"):
-            if economical:
-                z = y + wi @ new
-                mean = z
-            else:
-                mean = w @ tbuf
+        if economical:
+            z = y + wi @ new
+            mean = z
+        else:
+            mean = w @ tbuf
 
         x_next = _outer(t0f(n), mean, inner, x, block, n)
-        rec.err0 = rec.errsum = 0.0
-        if cfg.error_model is not None:
+        if errors is None:
+            rec.err0 = rec.errsum = 0.0
+        else:
             # apply checked T0's output; the error row added to it is not
             x_next = x_next + errs[0]
             if not np.isfinite(x_next).all():
@@ -615,7 +623,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
 
         rec.block = block
         rec.step = norm(x_next - x)
-        if cfg.record_buffers:
+        if record_buffers:
             rec.t_buffer = tbuf.copy()
         x = x_next
         n += 1

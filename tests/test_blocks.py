@@ -19,7 +19,7 @@ from blocksplit.harness import (TRACE_HEADER, ConfigError, read_trace_csv,
                                 run_experiment, synthetic_regression,
                                 synthetic_unit_rows, write_trace_csv)
 from blocksplit.operators import apply, check_weights
-from blocksplit.problems import least_squares_feasibility
+from blocksplit.problems import lasso_problem, least_squares_feasibility
 from blocksplit.schedules import (Block, BlockSchedule, CoveringError,
                                   check_concentrating, lag_identity_check,
                                   last_activation, make_cyclic, make_explicit,
@@ -582,3 +582,30 @@ def test_cyclic_economical_least_squares_trace_pinned(tmp_path):
     write_trace_csv(tmp_path / "trace.csv", res.trace)
     assert _sha256(tmp_path / "trace.csv") == (
         "a1c0b4db44eba2b6483f38a0e207384d92f0715ead70b7e789c21dd4e6903e98")
+
+
+# the two bench paths at bench scale, pinned before the loop's fixed cost was
+# cut: a change to the loop may not move a bit of either trace
+
+def test_cyclic_lasso_stack_trace_pinned(tmp_path):
+    # lasso_wide's path: a RowStack, blocks of 10 over 500 rows (K=50), the
+    # plain mean and the gated stopping check
+    A, eta, _ = synthetic_regression(20, 500, 2)
+    res = lasso_problem(A, eta, reg=1e-3).solve(
+        make_cyclic(500, 10), np.zeros(20), max_iters=400, tol_residual=1e-2,
+        check_every=10)
+    assert res.iterations == 400
+    write_trace_csv(tmp_path / "trace.csv", res.trace)
+    assert _sha256(tmp_path / "trace.csv") == (
+        "4edd1899a3946b9df5f99a03e2d11626ab94c3d860f3002ea51a0a7e13042270")
+
+
+def test_cyclic_economical_least_squares_at_scale_trace_pinned(tmp_path):
+    # lsq_tall's path: blocks of 100 over 2,000 rows (K=20), economical mean
+    prob = least_squares_feasibility(*synthetic_unit_rows(20, 2000, 2))
+    res = prob.solve(make_cyclic(2000, 100), np.zeros(20), economical=True,
+                     max_iters=300, tol_residual=1e-4, check_every=50)
+    assert res.iterations == 300
+    write_trace_csv(tmp_path / "trace.csv", res.trace)
+    assert _sha256(tmp_path / "trace.csv") == (
+        "70bc8aff3ec09552cdf1634afa998c6e56ef09b4b00b7bdc9999ccf1725ca6a7")

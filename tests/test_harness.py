@@ -22,7 +22,7 @@ from blocksplit.harness import (ConfigError, EXIT_COVERING, EXIT_CONFIG,
                                 synthetic_regression, write_trace_csv)
 from blocksplit.operators import scaling_op
 from blocksplit.problems import build_prox_grad, lasso_problem, logistic_problem
-from blocksplit.schedules import make_cyclic, make_full
+from blocksplit.schedules import MAX_M, make_cyclic, make_full
 from blocksplit.solver import SolverConfig, run
 
 
@@ -777,6 +777,44 @@ class TestCLI:
         code, err = self.cli_error(capsys, ["schedule-check"] + argv)
         assert code == EXIT_CONFIG
         assert message in err
+
+    @pytest.mark.parametrize("m", [10**11, MAX_M + 1])
+    @pytest.mark.parametrize("kind", ["quasicyclic", "cyclic", "explicit"])
+    def test_schedule_check_refuses_huge_m_before_allocating(
+            self, tmp_path, capsys, monkeypatch, m, kind):
+        # m = 10**11 asked numpy for 745 GiB of last activations; any array
+        # of more than MAX_M entries now fails the test instead of being made
+        full = np.full
+
+        def small_full(shape, *args, **kwargs):
+            assert np.prod(shape) <= MAX_M, f"np.full of {shape} entries"
+            return full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", small_full)
+        # every form at K = 2, so the horizon of 10 is long enough
+        spec = {"type": kind, "m": m, "K": 2, "seed": 1,
+                "block_size": -(-m // 2), "blocks": [[1], [m]]}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"schedule": spec}))
+        argv = ["--config", str(path)]
+        code, err = self.cli_error(
+            capsys, ["schedule-check", *argv, "--horizon", "10"])
+        assert code == EXIT_CONFIG
+        assert err == (f"error: schedule.m must be at most {MAX_M}, got {m}: "
+                       f"a schedule keeps 8-byte arrays of m entries\n")
+
+    def test_schedule_check_out_of_memory_is_a_config_error(self, capsys,
+                                                           monkeypatch):
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "schedule_from_spec", exhausted)
+        code, err = self.cli_error(capsys, ["schedule-check", "--type",
+                                            "quasicyclic", "--m", "5000000",
+                                            "--K", "2"])
+        assert code == EXIT_CONFIG
+        assert err == ("error: out of memory building or walking the "
+                       "schedule\n")
 
     LINEAR_RATE = ["--rho0", "0.5", "--rhos", "1,1"]
 

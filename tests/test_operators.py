@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from blocksplit import operators
 from blocksplit.calculus import Ball, Box, Halfspace, Hyperplane, projector_op
 from blocksplit.operators import (AveragedOp, NonFiniteError, apply,
-                                  certify_averaged, check_weights, compose,
+                                  as_point, certify_averaged, check_weights, compose,
                                   identity_op, kahan_weighted_sum, norm, relax,
                                   row_norms, scaling_op)
 
@@ -240,3 +241,90 @@ def test_row_norms_are_norm_row_by_row(decades, dim, seed):
     assert got.shape == (len(decades),)
     for value, row in zip(got, X):
         assert value == norm(row)
+
+
+def _reference_apply(op, x):
+    """``apply`` as it was before its float64 fast path: every input through
+    ``as_point``, every output through ``np.asarray`` and a full scan."""
+    p = as_point(x, dim=op.dim)
+    out = np.asarray(op.fn(p), dtype=float)
+    if out.shape != p.shape:
+        raise ValueError(
+            f"operator {op.name or op!r} is not dimension-preserving: "
+            f"{p.shape} -> {out.shape}")
+    if not np.isfinite(out).all():
+        raise NonFiniteError(
+            f"operator {op.name or op!r} produced non-finite output")
+    return out
+
+
+@st.composite
+def apply_inputs(draw):
+    """A dimension and a point of one of the forms ``apply`` meets: float64
+    vectors (finite, huge enough that their square overflows, or with a
+    NaN or an infinity), int arrays, lists, columns and wrong lengths."""
+    dim = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["finite", "huge", "non-finite", "int",
+                                 "list", "column", "wrong length"]))
+    length = dim
+    if kind == "wrong length":
+        length = draw(st.sampled_from([n for n in (0, dim - 1, dim + 1)
+                                       if n >= 0]))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=length, max_size=length))
+    x = np.array(values, dtype=float)
+    if kind == "huge":
+        x[draw(st.integers(0, dim - 1))] = draw(
+            st.sampled_from([1.0, -1.0])) * draw(st.floats(1.4e154, 1.7e308))
+    elif kind == "non-finite":
+        x[draw(st.integers(0, dim - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "int":
+        x = np.array(draw(st.lists(st.integers(-2**40, 2**40),
+                                   min_size=dim, max_size=dim)))
+    elif kind == "list":
+        x = values
+    elif kind == "column":
+        x = x[:, None]
+    return dim, x
+
+
+# outputs of an operator body at the point p it is handed
+APPLY_OUTPUTS = {
+    "same": lambda p: p,
+    "scaled": lambda p: 0.5 * p,
+    "list": lambda p: [0.25] * p.size,
+    "int": lambda p: np.arange(p.size),
+    "float32": lambda p: np.full(p.size, 0.1, dtype=np.float32),
+    "huge": lambda p: np.full(p.size, 1e300),
+    "nan": lambda p: np.where(np.arange(p.size) == p.size - 1, np.nan, 1.0),
+    "-inf": lambda p: np.full(p.size, -np.inf),
+    "column": lambda p: np.zeros((p.size, 1)),
+    "longer": lambda p: np.zeros(p.size + 1),
+    "scalar": lambda p: np.float64(1.0),
+}
+
+
+def _outcome(fn, op, x):
+    """('ok', dtype, shape, bytes) or ('raised', type, message), and the
+    RuntimeWarnings the call emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(op, x)
+        except Exception as exc:
+            got = ("raised", type(exc), str(exc))
+        else:
+            got = ("ok", out.dtype, out.shape, out.tobytes())
+    return got, [c for c in caught if issubclass(c.category, RuntimeWarning)]
+
+
+@settings(deadline=None, max_examples=400)
+@given(apply_inputs(), st.sampled_from(sorted(APPLY_OUTPUTS)))
+def test_apply_fast_path_matches_the_reference(case, output):
+    dim, x = case
+    op = AveragedOp(APPLY_OUTPUTS[output], dim=dim, alpha=0.5, name="T")
+    got, warned = _outcome(apply, op, x)
+    expected, _ = _outcome(_reference_apply, op, x)
+    assert got == expected
+    assert not warned

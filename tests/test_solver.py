@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from blocksplit import solver
 from blocksplit.calculus import Ball, Halfspace, Hyperplane, projector_op
 from blocksplit.harness import synthetic_regression
-from blocksplit.operators import (AveragedOp, NonFiniteError, apply,
-                                  identity_op, kahan_weighted_sum, scaling_op)
+from blocksplit.operators import (AveragedOp, NonFiniteError, RowStack,
+                                  apply, identity_op, kahan_weighted_sum,
+                                  scaling_op)
 from blocksplit.problems import (build_cohypomonotone, lasso_problem,
                                  quadratic_resolvent)
 from blocksplit.schedules import (BlockSchedule, CoveringError,
@@ -780,3 +782,45 @@ class TestStoppingCheckGate:
         res = prob.solve(schedule, np.zeros(prob.dim), **kw)
         assert res.stats["checks_skipped"] == 0
         assert res.stats["checks"] == len(_candidates(res, 10)) > 1
+
+
+# a numpy error state unlike the default: a loop that left its own
+# invalid="ignore" behind, or reset the state, would show in np.geterr()
+OUTER_ERRSTATE = {"divide": "ignore", "over": "ignore", "invalid": "warn",
+                  "under": "ignore"}
+
+
+def _nan_at_call(count):
+    """Three rows x -> x/2 on R^2 whose kernel's ``count``-th call puts a
+    NaN into its first row."""
+    calls = itertools.count()
+
+    def kernel(idx, x):
+        out = 0.5 * np.tile(x, (np.arange(3)[idx].size, 1))
+        if next(calls) == count:
+            out[0, 0] = np.nan
+        return out
+
+    return RowStack(kernel, 2, [0.5] * 3, "half")
+
+
+@pytest.mark.parametrize("ending", ["returns", "non-finite", "covering"])
+@pytest.mark.parametrize("runner", [run, run_economical])
+def test_run_restores_numpy_error_state(runner, ending):
+    """The loop ignores invalid-value warnings inside one errstate; the
+    caller's state is back when the run returns and when it raises from the
+    middle of the loop."""
+    schedule = (make_explicit(3, 2, [[1], [2], [3]]) if ending == "covering"
+                else make_cyclic(3, 1))
+    cfg = SolverConfig(weights=[1 / 3] * 3, schedule=schedule, max_iters=20,
+                       tol_residual=-1.0, check_every=100)
+    ts = _nan_at_call(5 if ending == "non-finite" else -1)
+    with np.errstate(**OUTER_ERRSTATE):
+        before = np.geterr()
+        if ending == "returns":
+            assert runner(identity_op(2), ts, cfg, [1.0, 2.0]).iterations == 20
+        else:
+            error = NonFiniteError if ending == "non-finite" else CoveringError
+            with pytest.raises(error):
+                runner(identity_op(2), ts, cfg, [1.0, 2.0])
+        assert np.geterr() == before == OUTER_ERRSTATE
