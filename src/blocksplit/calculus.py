@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
-from .operators import AveragedOp, as_int, as_point
+from .operators import AveragedOp, as_int, as_point, norm
 
 MEMBERSHIP_TOL = 1e-14
 
@@ -29,7 +29,7 @@ class ConvexSet:
 
     def distance(self, x):
         x = as_point(x, dim=self.dim)
-        return float(np.linalg.norm(x - self.project(x)))
+        return norm(x - self.project(x))
 
 
 class Box(ConvexSet):
@@ -107,7 +107,7 @@ class Ball(ConvexSet):
     def project(self, x):
         x = as_point(x, dim=self.dim)
         r = x - self.center
-        nr = np.linalg.norm(r)
+        nr = norm(r)
         if nr <= self.radius:
             return x
         return self.center + (self.radius / nr) * r
@@ -234,10 +234,7 @@ def linear_resolvent_op(A, gamma, lipschitz=1.0):
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     d = A.shape[0]
-    try:
-        factor = lu_factor(np.eye(d) + gamma * A)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("resolvent solve broke down numerically") from exc
+    factor = lu_factor(np.eye(d) + gamma * A)
     return AveragedOp(lambda x: lu_solve(factor, x), dim=d, alpha=0.5,
                       lipschitz=lipschitz, name=f"J[{gamma}A]")
 
@@ -333,7 +330,7 @@ def grad_distance_penalty(phi, L, D, x):
     x = as_point(x, dim=L.domain_dim)
     y = L(x)
     resid = y - D.project(y)
-    d = float(np.linalg.norm(resid))
+    d = norm(resid)
     if d <= MEMBERSHIP_TOL:
         return np.zeros(L.domain_dim)
     return (phi.derivative(d) / d) * L.adjoint(resid)

@@ -47,7 +47,7 @@ def oracle_least_squares(rows, targets):
     if np.linalg.matrix_rank(gram) < gram.shape[0]:
         raise ValueError("normal matrix is rank deficient")
     x = np.linalg.solve(gram, rhs)
-    accuracy = float(np.linalg.norm(gram @ x - rhs))
+    accuracy = norm(gram @ x - rhs)
     return OracleResult(solution=x, accuracy=accuracy)
 
 

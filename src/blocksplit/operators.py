@@ -46,8 +46,18 @@ def as_int(value, name):
 
 def norm(x):
     """Euclidean norm of a 1-D float array, as ``np.linalg.norm`` computes
-    it for one (the square root of ``x.dot(x)``) without its dispatch."""
-    return math.sqrt(x.dot(x))
+    it for one (the square root of ``x.dot(x)``) without its dispatch.
+
+    ``np.vdot`` gives the same sum of squares without an overflow warning.
+    Where that sum overflows although every entry is finite, the norm is
+    taken of ``x`` scaled by its largest ``|x_i|``, so it stays finite as
+    long as the true norm is."""
+    s = np.vdot(x, x)
+    if math.isfinite(s) or not np.isfinite(x).all():
+        return math.sqrt(s)
+    scale = float(np.abs(x).max())
+    with np.errstate(under="ignore"):
+        return scale * norm(x / scale)
 
 
 def row_norms(X):
@@ -372,8 +382,10 @@ def certify_averaged(op, sample_count=10_000, seed=0):
         defect = dtt2 + ratio * float(np.dot(res, res)) - dxy2
         max_violation = max(max_violation, defect / (1.0 + dxy2))
         if check_lip:
-            lip_defect = np.sqrt(dtt2) - op.lipschitz * np.sqrt(dxy2)
-            max_lip = max(max_lip, lip_defect / (1.0 + np.sqrt(dxy2)))
+            # Python floats keep `passed` a bool, as Certificate.__bool__
+            # must return one
+            lip_defect = math.sqrt(dtt2) - op.lipschitz * math.sqrt(dxy2)
+            max_lip = max(max_lip, lip_defect / (1.0 + math.sqrt(dxy2)))
     passed = max_violation <= 1e-10 and (not check_lip or max_lip <= 1e-10)
     return Certificate(
         passed=passed,

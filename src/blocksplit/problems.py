@@ -20,7 +20,7 @@ import numpy as np
 from .calculus import (ConvexSet, LinearMap, SmoothScalar, grad_distance_penalty,
                        gradient_step_op, distance_penalty_value, projector_op)
 from .operators import (AveragedOp, RowStack, as_point, certify_averaged,
-                        check_weights, identity_op)
+                        check_weights, identity_op, norm)
 from .solver import SolverConfig, run, run_economical
 
 
@@ -129,7 +129,7 @@ def build_residual_system(Rs, rs, weights=None):
     w = _resolve_weights(weights, len(ops))
 
     def gap(x):
-        return max(float(np.linalg.norm(R(x) - r)) for R, r in zip(Rs, targets))
+        return max(norm(R(x) - r) for R, r in zip(Rs, targets))
 
     return BuiltProblem(t0=identity_op(dim), ts=ops, weights=w, dim=dim,
                         m=len(ops), name="residual_system",

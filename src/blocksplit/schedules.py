@@ -66,10 +66,7 @@ class Block:
         members = set(members)
         if not members:
             return cls.from_sorted(np.empty(0, np.intp))
-        try:
-            ordered = sorted(members)
-        except TypeError:           # unordered kinds, such as 1 and "a"
-            ordered = sorted(members, key=repr)
+        ordered = _ordered(members)
         idx, bound = np.array(ordered), 2**62
         if (idx.dtype.kind not in "iu" or ordered[0] < -bound
                 or ordered[-1] > bound):
@@ -112,11 +109,7 @@ class Block:
         return iter((self.idx + 1).tolist())
 
     def __contains__(self, item):
-        if type(item) is not int:
-            return item in frozenset(self)
-        i, idx = item - 1, self.idx
-        return (idx.size > 0 and idx[0] <= i <= idx[-1]
-                and idx[idx.searchsorted(i)] == i)
+        return item in frozenset(self)
 
     def __eq__(self, other):
         if isinstance(other, Block):
@@ -138,6 +131,14 @@ class Block:
 
 # the slots' own setters: Block.__setattr__ refuses every assignment
 _set_idx, _set_rows = Block.idx.__set__, Block.rows.__set__
+
+
+def _ordered(members):
+    """``members`` sorted, by ``repr`` where their kinds do not compare."""
+    try:
+        return sorted(members)
+    except TypeError:           # unordered kinds, such as 1 and "a"
+        return sorted(members, key=repr)
 
 
 def as_block(members):
@@ -178,7 +179,7 @@ class BlockSchedule:
             raise CoveringError(f"schedule {self.name!r}: empty block at n={n}")
         if blk is None or blk.idx[0] < 0 or blk.idx[-1] >= self.m:
             raise CoveringError(
-                f"schedule {self.name!r}: block {sorted(members)} at n={n} "
+                f"schedule {self.name!r}: block {_ordered(members)} at n={n} "
                 f"not within 1..{self.m}"
             )
         return blk

@@ -213,8 +213,6 @@ class SolverConfig:
     or at the cap (see ``_run_core``). A negative ``tol_residual`` disables
     the rule, leaving only the ``max_iters`` cap; every candidate check then
     runs.
-    ``t_init`` overrides the default stale-buffer seed (the start point
-    replicated).
     """
 
     weights: object
@@ -223,7 +221,6 @@ class SolverConfig:
     max_iters: int = 1000
     tol_residual: float = 1e-10
     check_every: int = 10
-    t_init: object = None            # default: x0 replicated
     # object whose .error(indices, steps, dim) returns one row
     # e_{indices[r], steps[r]} per entry of two equal-length 1-D int arrays;
     # index 0 is the outer operator. The solver draws a window of upcoming
@@ -393,28 +390,25 @@ def _error_window(model, schedule, block, start, stop, dim):
 
     Iteration k gets the rows [0, *sorted(I_k)] at step k, row 0 being
     e_{0,k}; ``block`` is iteration start's. The window ends before
-    ``stop`` (the iteration cap), before its rows would pass
-    ``_ERROR_WINDOW_BYTES`` and before a block the schedule rejects as
-    corrupt, whose CoveringError the loop then raises at its own n;
-    iteration start is always in it. Returns one ``(block, rows,
-    row_norms)`` entry per iteration, the last iteration first. A block
-    fetched past the row bound comes first, with None for its rows: its
-    iteration starts the next window. So each block is fetched once. A
+    ``stop`` (the iteration cap), once its rows reach
+    ``_ERROR_WINDOW_BYTES`` (the last iteration may pass the bound by its
+    block) and before a block the schedule rejects as corrupt, whose
+    CoveringError the loop then raises at its own n; iteration start is
+    always in it. Returns one ``(block, rows, row_norms)`` entry per
+    iteration, the last iteration first, so each block is fetched once. A
     draw that is not a float array of one row per index and ``dim`` columns
     is refused (ValueError).
     """
     max_rows = _ERROR_WINDOW_BYTES // (8 * dim)
     blocks = [block]
     indices = [0, *(block.idx + 1).tolist()]
-    entries = []
     for k in range(start + 1, stop):
+        if len(indices) >= max_rows:
+            break
         try:
             block = schedule.block(k)
         except CoveringError:
             # a corrupt block belongs to iteration k, which may never run
-            break
-        if len(indices) + 1 + block.idx.size > max_rows:
-            entries.append((block, None, None))
             break
         blocks.append(block)
         indices += [0, *(block.idx + 1).tolist()]
@@ -430,6 +424,7 @@ def _error_window(model, schedule, block, start, stop, dim):
                          f"array of shape {expected}")
     norms = row_norms(errs)
     end = errs.shape[0]
+    entries = []
     for b, size in zip(blocks[::-1], sizes[::-1]):
         entries.append((b, errs[end - size:end], norms[end - size:end]))
         end -= size
@@ -514,12 +509,7 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
                                    cfg.max_iters)
     errors, record_buffers = cfg.error_model, cfg.record_buffers
 
-    if cfg.t_init is None:
-        tbuf = np.tile(x, (m, 1))
-    else:
-        tbuf = np.array([as_point(t, dim=dim) for t in cfg.t_init], dtype=float)
-        if tbuf.shape != (m, dim):
-            raise ValueError(f"t_init must provide {m} vectors of length {dim}")
+    tbuf = np.tile(x, (m, 1))
     err_norms = np.zeros(m)
     # (block, error rows, row norms) of the fetched iterations still to run
     pending = []

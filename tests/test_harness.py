@@ -771,8 +771,10 @@ class TestCLI:
          "error: schedule.seed must be >= 0, got -1\n"),
         (["--type", "quasicyclic", "--m", "5"],
          "error: schedule.K is missing\n"),
+        (["--m", "5"], "error: need --config or --type/--m\n"),
     ], ids=["horizon-below-K", "negative-rows", "explicit-without-blocks",
-            "quasicyclic-negative-seed", "quasicyclic-without-K"])
+            "quasicyclic-negative-seed", "quasicyclic-without-K",
+            "without-type"])
     def test_schedule_check_bad_inputs(self, capsys, argv, message):
         code, err = self.cli_error(capsys, ["schedule-check"] + argv)
         assert code == EXIT_CONFIG

@@ -10,6 +10,7 @@ comes with them (pytest turns one into an error; the runs below also do so
 themselves).
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from blocksplit.harness import synthetic_regression, synthetic_unit_rows
-from blocksplit.operators import NonFiniteError, RowStack, identity_op
+from blocksplit.operators import (NonFiniteError, RowStack, identity_op,
+                                  scaling_op)
 from blocksplit.problems import (lasso_problem, least_squares_feasibility,
                                  logistic_problem)
 from blocksplit.schedules import make_cyclic, make_full
@@ -185,3 +187,20 @@ def test_finite_rows_whose_mean_overflows_fail_at_the_outer_operator(
     assert caught and all(issubclass(c.category, RuntimeWarning)
                           and str(c.message).startswith("overflow encountered")
                           for c in caught)
+
+
+@pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS)
+def test_a_huge_finite_start_records_finite_steps_without_warning(runner):
+    # ||x0||^2 overflows a float though x0 and every iterate are finite:
+    # each step and residual is the finite norm, with no RuntimeWarning
+    cfg = SolverConfig(weights=[0.5, 0.5], schedule=make_cyclic(2, 1),
+                       max_iters=5, tol_residual=-1.0, check_every=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = runner(scaling_op(2, 0.5), [identity_op(2)] * 2, cfg,
+                     [1e200, 1e200])
+    # x_1 = x_0 / 2, so the first step and residual are ||x_0|| / 2
+    first = res.trace[0]
+    assert first.step == first.residual == math.hypot(5e199, 5e199)
+    assert all(math.isfinite(rec.step) and math.isfinite(rec.residual)
+               for rec in res.trace[:-1])

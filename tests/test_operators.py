@@ -1,10 +1,11 @@
+import math
 import warnings
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blocksplit import operators
 from blocksplit.calculus import Ball, Box, Halfspace, Hyperplane, projector_op
@@ -224,7 +225,26 @@ def test_norm_is_bit_identical_to_numpy(values, seed):
     for x in (np.array(values, dtype=float),
               rng.standard_normal(len(values))
               * 10.0 ** rng.uniform(-150, 150, len(values))):
-        assert norm(x) == float(np.linalg.norm(x))
+        assert norm(x) == float(np.linalg.norm(x)) == math.sqrt(x.dot(x))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.floats(-1.0, 1.0), max_size=40), st.floats(154.2, 308.0))
+@example([1.0], 200.0)
+def test_norm_of_a_huge_finite_vector_is_its_scaled_norm(unit, decade):
+    """Where the sum of squares overflows although every entry is finite
+    (the first entry's square does), the norm is within rounding of
+    ``math.hypot``'s, which scales before it sums: finite when the true
+    norm is, and with no floating-point error."""
+    x = np.array([1.0, *unit]) * 10.0 ** decade
+    assert not math.isfinite(np.vdot(x, x))
+    reference = math.hypot(*x)
+    with np.errstate(all="raise"):
+        got = norm(x)
+    if math.isinf(reference):
+        assert got == math.inf
+    else:
+        assert abs(got - reference) <= (x.size + 2) * 2.0 ** -52 * reference
 
 
 @settings(deadline=None, max_examples=200)

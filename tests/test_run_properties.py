@@ -1,7 +1,8 @@
 """Properties of whole runs over generated problems, schedules and injected
 errors: the plain run is the paper's iteration as written, bit for bit, and
 the economical one within a stated rounding bound, every run satisfies the
-lagged distance inequality, a contractive run stays inside the linear
+lagged distance inequality, the lagged residual is bounded by the distances
+to the stale iterates, a contractive run stays inside the linear
 envelope, a trace survives the CSV round trip column for column, its file
 byte for byte, skipping stopping checks changes nothing but the skipped
 residuals, and the checks run are the ones an independent replay of the
@@ -21,8 +22,9 @@ from blocksplit.harness import (TRACE_HEADER, read_trace_csv,
                                 write_trace_csv)
 from blocksplit.problems import (lasso_problem, least_squares_feasibility,
                                  logistic_problem)
-from blocksplit.operators import norm, relax, scaling_op
-from blocksplit.schedules import (make_cyclic, make_full,
+from blocksplit.operators import (AveragedOp, identity_op, norm, relax,
+                                  scaling_op)
+from blocksplit.schedules import (last_activation, make_cyclic, make_full,
                                   make_quasicyclic_random)
 from blocksplit.solver import (SeededDecayErrors, SolverConfig, fejer_audit,
                                linear_rate_audit, run, run_economical)
@@ -188,6 +190,56 @@ def test_runs_satisfy_the_lagged_distance_inequality(case, economical,
                                    x=ref.x + far * np.eye(prob.dim)[0])
     report = fejer_audit(moved, ref.x, prob.weights, K)
     assert not report.passed and report.first_violation_n == j - 1
+
+
+def stale_bound_excess(trace, weights, schedule):
+    """The largest excess of the lagged residual r_n over its bound from
+    the stale iterates, for n >= K, in units of 1 + max_k ||x_k||_inf:
+
+        r_n <= sum_i w_i ||x_{c(i,n-1)} - x_n|| + err0_{n-1} + errsum_{n-1}
+
+    with c(i, n-1) from ``last_activation``. Buffer entry i holds
+    T_i x_{c(i,n-1)} + e_{i,c(i,n-1)} after iteration n-1, so for
+    nonexpansive autonomous T_0 and T_i the bound holds up to rounding."""
+    K = schedule.K
+    scale = 1.0 + max(float(np.max(np.abs(rec.x))) for rec in trace)
+    excess = []
+    for rec in trace[K:]:
+        prev = trace[rec.n - 1]
+        stale = sum(w * norm(trace[last_activation(schedule, i, rec.n - 1)].x
+                             - rec.x)
+                    for i, w in enumerate(weights, 1))
+        excess.append((rec.residual - stale - prev.err0 - prev.errsum)
+                      / scale)
+    return max(excess)
+
+
+@settings(deadline=None, max_examples=40)
+@given(runs(), st.booleans(), st.booleans())
+def test_lagged_residual_is_bounded_by_the_stale_iterates(case, economical,
+                                                          errors):
+    """Every run that checks at every n, with or without injected errors,
+    keeps its lagged residual within 1e-12 of the stale-iterate bound."""
+    prob, cfg, x0 = case
+    cfg = dataclasses.replace(cfg, check_every=1,
+                              error_model=cfg.error_model if errors else None)
+    runner = run_economical if economical else run
+    trace = runner(prob.t0, prob.ts, cfg, x0).trace
+    if len(trace) > cfg.schedule.K:
+        assert stale_bound_excess(trace, prob.weights, cfg.schedule) <= 1e-12
+
+
+@pytest.mark.parametrize("runner", [run, run_economical],
+                         ids=["plain", "economical"])
+def test_expanding_rows_break_the_stale_iterate_bound(runner):
+    """Rows 1.5 Id declared 1/2-averaged are not nonexpansive, and the
+    bound fails by far more than rounding: the property above can fail."""
+    grow = AveragedOp(lambda x: 1.5 * x, 2, 0.5, name="1.5*id")
+    schedule = make_cyclic(2, 1)
+    cfg = SolverConfig(weights=[0.5, 0.5], schedule=schedule, max_iters=10,
+                       tol_residual=-1.0, check_every=1)
+    trace = runner(identity_op(2), [grow, grow], cfg, [1.0, 2.0]).trace
+    assert stale_bound_excess(trace, [0.5, 0.5], schedule) > 0.1
 
 
 @st.composite

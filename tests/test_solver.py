@@ -163,37 +163,6 @@ class TestRunBasics:
         with pytest.raises(NonFiniteError):
             run(identity_op(1), [bomb], cfg, [1.0])
 
-    def test_t_init_override(self):
-        cfg = SolverConfig(weights=[1.0], schedule=make_full(1), max_iters=0,
-                           t_init=[[7.0]])
-        res = run(identity_op(1), [identity_op(1)], cfg, [1.0])
-        assert res.iterations == 0
-
-    @pytest.mark.parametrize("runner", [run, run_economical],
-                             ids=["plain", "economical"])
-    def test_t_init_seeds_the_rows_the_first_block_leaves(self, runner):
-        # block {1} refreshes row 1 to T_1 x0 = x0; row 2 is still t_init's,
-        # so x_1 = (x0 + t_init[1]) / 2, where the default seed gives x0
-        cfg = SolverConfig(weights=[0.5, 0.5],
-                           schedule=make_explicit(2, 2, [[1], [2]]),
-                           max_iters=1, tol_residual=-1,
-                           t_init=[[7.0, 0.0], [0.0, 5.0]])
-        res = runner(identity_op(2), [identity_op(2)] * 2, cfg, [1.0, 1.0])
-        assert res.iterations == 1
-        assert np.array_equal(res.x, [0.5, 3.0])
-
-    @pytest.mark.parametrize("t_init, message", [
-        ([[7.0, 0.0]], "t_init must provide 2 vectors of length 2"),
-        ([[7.0, 0.0], [0.0, 5.0], [1.0, 1.0]],
-         "t_init must provide 2 vectors of length 2"),
-        ([[7.0], [0.0]], "dimension mismatch: expected 2, got 1"),
-    ], ids=["too-few", "too-many", "wrong-length"])
-    def test_t_init_of_the_wrong_shape_is_refused(self, t_init, message):
-        cfg = SolverConfig(weights=[0.5, 0.5], schedule=make_full(2),
-                           t_init=t_init)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            run(identity_op(2), [identity_op(2)] * 2, cfg, [1.0, 1.0])
-
     def test_weights_validated(self):
         cfg = SolverConfig(weights=[0.7, 0.7], schedule=make_full(2), max_iters=3)
         with pytest.raises(ValueError, match="weights must sum to 1"):
