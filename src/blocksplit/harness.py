@@ -339,7 +339,9 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
     Returns (exit_code, summary). The summary mirrors what lands in the
     summary JSON: final residual, iteration count, wall time, the run's
     ``stats`` counts, and the audit verdicts that can be recomputed offline
-    from the persisted trace.
+    from the persisted trace. With the Fejer audit on, the reference run's
+    ``reference_converged``, ``reference_iterations`` and
+    ``reference_stats`` join them.
     """
     started = time.perf_counter()
     try:
@@ -449,6 +451,8 @@ def run_experiment(cfg, base_dir=".", trace_out=None, max_iters=None, tol=None,
                 # Fejer monotonicity, so such a reference fails the audit;
                 # a run shorter than K has no inequality to check
                 summary["reference_converged"] = ref.converged
+                summary["reference_iterations"] = ref.iterations
+                summary["reference_stats"] = ref.stats
                 summary["audits"]["fejer"] = (
                     None if result.iterations < schedule.K
                     else ref.converged and fejer_audit(

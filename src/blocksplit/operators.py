@@ -44,16 +44,26 @@ def as_int(value, name):
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+# the least sum of squares that ``norm`` takes as it stands, 2**-969 (about
+# 2.0e-292): a square below 2**-1022 is subnormal or flushed to 0, off by up
+# to 2**-1074, which is 2**-105 of this sum and so lost in its rounding
+_TINY_SQUARES = 2.0 ** -969
+
+
 def norm(x):
     """Euclidean norm of a 1-D float array, as ``np.linalg.norm`` computes
     it for one (the square root of ``x.dot(x)``) without its dispatch.
 
     ``np.vdot`` gives the same sum of squares without an overflow warning.
-    Where that sum overflows although every entry is finite, the norm is
-    taken of ``x`` scaled by its largest ``|x_i|``, so it stays finite as
-    long as the true norm is."""
+    Where that sum overflows although every entry is finite, or falls below
+    2**-969 although some entry is not 0, the norm is taken of ``x`` scaled
+    by its largest ``|x_i|``, so it stays finite and nonzero as long as the
+    true norm is; any other sum keeps ``np.linalg.norm``'s bits."""
     s = np.vdot(x, x)
-    if math.isfinite(s) or not np.isfinite(x).all():
+    if s < _TINY_SQUARES:
+        if not x.any():
+            return 0.0
+    elif math.isfinite(s) or not np.isfinite(x).all():
         return math.sqrt(s)
     scale = float(np.abs(x).max())
     with np.errstate(under="ignore"):
@@ -65,9 +75,19 @@ def row_norms(X):
 
     Each row's dot product goes through the batched ``matmul`` of a (1, d)
     and a (d, 1) view, which rounds as ``x.dot(x)`` does; ``einsum`` and
-    ``(X * X).sum(axis=1)`` add in another order.
+    ``(X * X).sum(axis=1)`` add in another order. A row whose sum of
+    squares falls below 2**-969 with an entry not 0 goes through ``norm``.
+    One whose sum overflows is the exception: its norm is inf, with
+    numpy's overflow warning (an error under ``over="raise"``, which the
+    harness reports as divergence), where ``norm`` rescales.
     """
-    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
+    sums = np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+    out = np.sqrt(sums)
+    tiny = np.flatnonzero(sums < _TINY_SQUARES)
+    if tiny.size:
+        for r in tiny[X[tiny].any(axis=1)].tolist():
+            out[r] = norm(X[r])
+    return out
 
 
 # bytes of products per chunk of kahan_weighted_sum: a chunk and the tree's

@@ -206,11 +206,13 @@ class SolverConfig:
     must declare alpha < 1/(1 + epsilon). ``check_every`` is the spacing of
     candidate stopping checks, each a full sweep of operator evaluations.
     A run with no ``error_model`` and ``tol_residual`` >= 0 skips a
-    candidate whose recorded steps predict a residual above a margin times
-    the tolerance, the margin set from how far the run's earlier
-    predictions missed, but never more than 19 in a row, nor one 4K or
-    more iterations after the last check run, nor a candidate before n = K
-    or at the cap (see ``_run_core``). A negative ``tol_residual`` disables
+    candidate whose stale-iterate bound U_n, the weighted distances from
+    x_n to the iterates its buffer was built from, predicts a residual
+    above a margin times the tolerance, the margin set from how far the
+    run's earlier predictions missed, but never one with U_n within the
+    tolerance, nor more than 19 in a row, nor one 4K or more iterations
+    after the last check run, nor a candidate before n = K or at the cap
+    (see ``_run_core``). A negative ``tol_residual`` disables
     the rule, leaving only the ``max_iters`` cap; every candidate check then
     runs.
     """
@@ -443,50 +445,88 @@ def run_economical(t0, ts, cfg, x0, x_ref=None):
     return _run_core(t0, ts, cfg, x0, x_ref, economical=True)
 
 
-# The stopping check's predictor. Over an error-free run the lagged residual
-# r_n keeps a steady ratio to S_n, the sum of the K steps ||x_{k+1} - x_k||
-# before n: from n = K to 2,000, the middle 90% of r_n / S_n lay in
-# 0.48-0.49 on lasso (m=500, cyclic, K=50) and 0.46-0.47 on least squares
-# (m=2000, cyclic, K=20); quasicyclic blocks are larger, and the ratio lower
-# (0.02-0.03 at m=500, K=50). So the rule takes the ratio from the last
-# check run at some n_c >= K, with residual r_c and window sum S_c: a
-# scheduled check at n >= K is skipped when r_c S_n / S_c exceeds a margin
-# times the tolerance, and forced once n - n_c reaches _FORCE_AFTER
-# candidates or _FORCE_WINDOWS K-windows, whichever is fewer iterations. So
-# at most 19 candidates in a row are skipped, a skipped span is shorter than
-# 4K iterations, and with check_every >= 4K nothing is skipped.
+# The stopping check's predictor. For averaged, hence nonexpansive,
+# autonomous T_0 and T_i the buffer bounds the lagged residual for no
+# operator evaluation: x_n = T_0(sum_i w_i T_i x_{c(i,n-1)}), so
+#
+#     r_n <= U_n = sum_i w_i ||x_{c(i,n-1)} - x_n||,
+#
+# K distances to the last K iterates (`_stale_bound`). Over an error-free
+# run r_n keeps a steady ratio to U_n: 0.951-0.963 on lasso_wide (lasso,
+# m=500, cyclic, K=50) from n = K to its stop. So the rule takes the ratio
+# from the last check run at some n_c >= K, with residual r_c and bound
+# U_c: a scheduled check at n >= K is skipped when r_c U_n / U_c exceeds a
+# margin times the tolerance and U_n itself exceeds the tolerance. A
+# candidate with U_n <= tol passes for autonomous operators, up to
+# rounding, and there r_c <= U_c keeps its prediction within the margin
+# anyway; the guard acts for a family, which U_n does not bound, at the
+# cost of one check more.
+# A check is forced once n - n_c reaches _FORCE_AFTER candidates or
+# _FORCE_WINDOWS K-windows, whichever is fewer iterations. So at most 19
+# candidates in a row are skipped, a skipped span is shorter than 4K
+# iterations, and with check_every >= 4K nothing is skipped.
 #
 # The margin is calibrated from the run's own misses. Each check run at
 # n >= K against a basis compares the measured r_n with the prediction;
 # `miss` is the widest factor between the two, either way. Until
 # _CALIBRATE_AFTER comparisons exist the margin is _CHECK_MARGIN, then
 # _MISS_MARGIN * miss: a run whose ratio holds steady skips more (lasso_wide
-# misses by 1.09 at most, the first comparison at n = 250, so its margin is
-# 1.25 and 27 checks run instead of 54), one whose ratio wanders skips less
-# than at margin 2. Surveyed by replaying both rules on every-iteration
-# residual series. Large: 7 error-free runs (lasso at m=30, cyclic K=6,
-# quasicyclic K=5 and full activation K=1; lasso at m=500, cyclic and
-# quasicyclic K=50; least squares at m=2000, cyclic and quasicyclic K=20;
-# 20,000 iterations), tolerances 1e-1 to 1e-13 and check_every 1 to 500:
-# of 810 combinations none stopped later than with every check at either
-# margin, and the checks run went 48,766 -> 40,085. Generated: 4 samples
-# of 300 problems drawn as tests/test_run_properties.py draws them (m <= 26,
-# 100-600 iterations from 3 N(0, I)), tolerances the residual 25, 50 and 90%
-# of the way through, check_every 1 to 200, 28,800 combinations: late stops
-# 1,815 -> 1,726, late iterations 10,498 -> 10,147, checks 311,382 ->
-# 307,408, and each sample improved on all three. Most late stops there
-# fall where the tolerance is below 1e-13 times the largest residual, in
-# rounding noise, and any one 40-problem sample can go either way. The
-# residual is not monotone, so a late stop is always possible. Not taken:
-# 1.05 plus 4 times the largest shortfall below a prediction (lasso_wide 34
-# checks, but more late stops than margin 2 on every generated sample,
-# 1,815 -> 1,862, and 7 on the large survey when calibrated after the first
-# comparison instead of the fifth).
+# misses by 1.006 at most, the first comparison at n = 250, so its margin
+# is 1.16 and 22 of its 130 candidate checks run), one whose ratio wanders
+# skips less than at margin 2. Replayed on every-iteration residual series
+# of lasso at m=30 (cyclic K=6, quasicyclic K=5, full activation; 3,000
+# iterations, tolerances 1e-1 to 1e-13, check_every 1 to 500), U_n ran
+# 11,985 checks against 13,652 at margin 2, none stopping late. Against
+# S_n below, on 4 samples of 300 problems drawn as
+# tests/test_run_properties.py draws them (tolerances the residual 25, 50
+# and 90% of the way through, check_every 1 to 200, 28,800 combinations),
+# late stops went 1,743 -> 1,638, late iterations 9,665 -> 8,583 and
+# checks 344,296 -> 334,071, each sample improving on all three. The
+# residual is not monotone, so a late stop is always possible.
+#
+# History: the rule first predicted with S_n, the sum of the K steps
+# ||x_{k+1} - x_k|| before n, in place of U_n and with no guard: from
+# n = K to 2,000 the middle 90% of r_n / S_n lay in 0.48-0.49 on lasso
+# (m=500, cyclic, K=50) and 0.46-0.47 on least squares (m=2000, cyclic,
+# K=20); quasicyclic blocks are larger, and the ratio lower (0.02-0.03 at
+# m=500, K=50). lasso_wide ran 27 checks (margin 1.25), and the m=30 survey
+# above 12,690. Its calibration was surveyed on 7 large error-free runs
+# (lasso at m=30, cyclic K=6, quasicyclic K=5 and full activation K=1;
+# lasso at m=500, cyclic and quasicyclic K=50; least squares at m=2000,
+# cyclic and quasicyclic K=20; 20,000 iterations), tolerances 1e-1 to
+# 1e-13 and check_every 1 to 500: of 810 combinations none stopped later
+# than with every check at either margin, and the checks run went 48,766
+# -> 40,085 against margin 2. On 4 generated samples of 300 problems
+# (m <= 26, 100-600 iterations from 3 N(0, I), 28,800 combinations) late
+# stops went 1,815 -> 1,726, late iterations 10,498 -> 10,147 and checks
+# 311,382 -> 307,408, each sample improving on all three; most late stops
+# there fall where the tolerance is below 1e-13 times the largest
+# residual, in rounding noise, and any one 40-problem sample can go either
+# way. Not taken: 1.05 plus 4 times the largest shortfall below a
+# prediction (lasso_wide 34 checks, but more late stops than margin 2 on
+# every generated sample, 1,815 -> 1,862, and 7 on the large survey when
+# calibrated after the first comparison instead of the fifth).
 _CHECK_MARGIN = 2.0
 _CALIBRATE_AFTER = 5
 _MISS_MARGIN = 1.15
 _FORCE_AFTER = 20
 _FORCE_WINDOWS = 4
+
+
+def _stale_bound(ring, last, w, x, n):
+    """U_n = sum_i w_i ||x_{c(i,n-1)} - x_n|| at n >= K, from the stale
+    iterates x_{n-K}, ..., x_{n-1} in rows k % K of ``ring`` and the last
+    activations ``last`` up to n-1: the weight activated last at each step
+    k times ||x_k - x_n||, added left to right from k = n-K. A distance
+    whose squares overflow is inf without numpy's overflow error, so U_n is
+    inf or NaN, and a NaN U_n skips nothing."""
+    K = ring.shape[0]
+    mass = np.bincount(last - (n - K), weights=w, minlength=K)
+    with np.errstate(over="ignore"):
+        dists = row_norms(ring - x)
+    start = n % K
+    terms = mass * np.concatenate((dists[start:], dists[:start]))
+    return float(np.add.accumulate(terms)[-1])
 
 
 # +inf and -inf rows in one column make a NaN mean, and a non-finite row
@@ -520,15 +560,20 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
     # last[i-1]: latest step whose block activated i, -1 before any; it
     # serves the lagged stopping check and the on-the-fly covering test
     last = np.full(m, -1)
-    # injected errors enter the steps and break the predictor, and a
-    # negative tolerance makes every check a requested diagnostic
+    # injected errors enter the iterates without entering U_n and break
+    # the predictor, and a negative tolerance makes every check a
+    # requested diagnostic
     gated = errors is None and tol >= 0
-    # (n_c, r_c, S_c) of the last check run at some n_c >= K; S_c = 0 until
+    # (n_c, r_c, U_c) of the last check run at some n_c >= K; U_c = 0 until
     # there is one, so nothing is skipped before it
     basis = (None, None, 0.0)
     # the widest factor, either way, by which a check run at n >= K missed
-    # its basis's prediction r_c S_n / S_c, over `seen` such comparisons
+    # its basis's prediction r_c U_n / U_c, over `seen` such comparisons
     miss, seen = 1.0, 0
+    # the stale iterates of a gated run at n >= K: x_{n-K}, ..., x_{n-1} in
+    # rows k % K, one written an iteration, allocated only once the run
+    # reaches n = K, since K may be huge
+    ring = None
     force_span = min(_FORCE_AFTER * check_every, _FORCE_WINDOWS * K)
     block_evals = checks = skipped = 0
     n = 0
@@ -540,30 +585,28 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
             block, errs = schedule.block(n), None
         residual = None
         if at_cap or n % check_every == 0:
-            # S_n as a plain sum, recomputed at each candidate: no rounding
-            # drift builds up, and an overflow gives inf instead of raising
-            s_n = (sum(rec.step for rec in trace[n - K:n])
+            u_n = (_stale_bound(ring, last, w, x, n)
                    if gated and n >= K else None)
-            n_c, r_c, s_c = basis
+            n_c, r_c, u_c = basis
             margin = (_CHECK_MARGIN if seen < _CALIBRATE_AFTER
                       else _MISS_MARGIN * miss)
-            if (not at_cap and s_c > 0 and n - n_c < force_span
-                    and r_c * s_n > margin * tol * s_c):
+            if (not at_cap and u_c > 0 and n - n_c < force_span
+                    and u_n > tol and r_c * u_n > margin * tol * u_c):
                 skipped += 1
             else:
                 residual = _residual(x, t0f, inner, w, block, n, last)
                 checks += 1
-                if s_n is not None:
-                    if s_c > 0:
+                if u_n is not None:
+                    if u_c > 0:
                         # r_c > tol >= 0, else the run stopped at n_c; a
                         # prediction or a residual of 0 misses without bound
-                        predicted, measured = r_c * s_n, residual * s_c
+                        predicted, measured = r_c * u_n, residual * u_c
                         miss = (max(miss, predicted / measured,
                                     measured / predicted)
                                 if predicted > 0 and measured > 0
                                 else math.inf)
                         seen += 1
-                    basis = (n, residual, s_n)
+                    basis = (n, residual, u_n)
         converged = residual is not None and residual <= tol
         rec = TraceRecord(n=n, x=x.copy(), residual=residual,
                           dist_ref=norm(x - x_ref) if x_ref is not None else None)
@@ -617,6 +660,11 @@ def _run_core(t0, ts, cfg, x0, x_ref, economical):
             rec.t_buffer = tbuf.copy()
         x = x_next
         n += 1
+        if gated and n >= K:
+            if ring is None:
+                ring = np.array([r.x for r in trace])
+            else:
+                ring[(n - 1) % K] = rec.x
 
     # the error terms of the lagged inequality, n = K-1 to the last update
     lagged = trace[K - 1:-1]

@@ -91,46 +91,50 @@ def calibrated_margin(miss, seen):
     return 2.0 if seen < 5 else 1.15 * miss
 
 
-def replay_gate(residuals, steps, K, check_every, tol, margin_rule):
+def replay_gate(residuals, predictors, K, check_every, tol, margin_rule,
+                certified=True):
     """The n at which an error-free run with ``tol`` >= 0 runs its stopping
     check, replayed from a dense series: ``residuals[n]`` is the lagged
-    residual at every n up to the cap, ``steps[n]`` is ||x_{n+1} - x_n||,
-    and ``margin_rule(miss, seen)`` gives the margin. The last n returned
-    is where the run stops.
+    residual at every n up to the cap, ``predictors[n]`` the predictor P_n
+    at every n >= K (the solver's is the stale-iterate bound U_n), and
+    ``margin_rule(miss, seen)`` gives the margin. The last n returned is
+    where the run stops.
 
-    Every ``check_every``-th n and the cap is a candidate. With S_n the sum
-    of steps[n-K:n], a candidate at n >= K is skipped when n is not the cap
-    and the last check run at some n_c >= K, with residual r_c and S_c > 0,
-    lies fewer than min(20 check_every, 4K) iterations back and predicts
-    r_c S_n / S_c above margin * tol. Each check run at n >= K against such
-    a basis is one more comparison (``seen``), and ``miss`` is the widest
-    factor between a measured r_n and its prediction, either way, over
-    them: 1 before any, unbounded once a prediction or residual is 0."""
+    Every ``check_every``-th n and the cap is a candidate. A candidate at
+    n >= K is skipped when n is not the cap, the last check run at some
+    n_c >= K, with residual r_c and P_c > 0, lies fewer than
+    min(20 check_every, 4K) iterations back and predicts r_c P_n / P_c above
+    margin * tol, and, for a ``certified`` bound on the residual, P_n itself
+    lies above tol. Each check run at n >= K against such a basis is one
+    more comparison (``seen``), and ``miss`` is the widest factor between a
+    measured r_n and its prediction, either way, over them: 1 before any,
+    unbounded once a prediction or residual is 0."""
     cap = len(residuals) - 1
     force_span = min(20 * check_every, 4 * K)
     checked = []
     n_c = r_c = None
-    s_c = 0.0
+    p_c = 0.0
     miss, seen = 1.0, 0
     for n in range(cap + 1):
         if n % check_every and n < cap:
             continue
-        s_n = sum(steps[n - K:n]) if n >= K else None
-        if (n < cap and s_c > 0 and n - n_c < force_span
-                and r_c * s_n > margin_rule(miss, seen) * tol * s_c):
+        p_n = predictors[n] if n >= K else None
+        if (n < cap and p_c > 0 and n - n_c < force_span
+                and (p_n > tol or not certified)
+                and r_c * p_n > margin_rule(miss, seen) * tol * p_c):
             continue
         r_n = residuals[n]
         checked.append(n)
         if r_n <= tol:
             break
-        if s_n is not None:
-            if s_c > 0:
+        if p_n is not None:
+            if p_c > 0:
                 seen += 1
-                predicted, measured = r_c * s_n, r_n * s_c
+                predicted, measured = r_c * p_n, r_n * p_c
                 if predicted > 0 and measured > 0:
                     miss = max(miss, predicted / measured,
                                measured / predicted)
                 else:
                     miss = float("inf")
-            n_c, r_c, s_c = n, r_n, s_n
+            n_c, r_c, p_c = n, r_n, p_n
     return checked

@@ -245,6 +245,44 @@ class TestRunExperiment:
         assert summary["audits"]["fejer"] == offline.passed
         assert summary["reference_converged"] is True
 
+    def test_summary_reports_the_reference_run_counts(self, tmp_path):
+        # the Fejer audit's reference is a full-activation run at 1e-13:
+        # its counts sit next to reference_converged, and only when it ran
+        sched = {"type": "quasicyclic", "m": 6, "K": 3, "seed": 2}
+        _, summary = run_experiment(lasso_config(tmp_path, schedule=sched),
+                                    base_dir=tmp_path)
+        assert not {"reference_iterations",
+                    "reference_stats"} & summary.keys()
+        cfg = lasso_config(tmp_path, schedule=sched,
+                           audits={"fejer": True, "reference_iters": 50_000})
+        code, summary = run_experiment(cfg, base_dir=tmp_path)
+        assert code == EXIT_OK
+        prob = build_problem_from_config(cfg["problem"], tmp_path)
+        ref = run(prob.t0, prob.ts,
+                  SolverConfig(weights=prob.weights, schedule=make_full(6),
+                               max_iters=50_000, tol_residual=1e-13,
+                               check_every=10),
+                  np.zeros(prob.dim))
+        assert summary["reference_iterations"] == ref.iterations
+        assert summary["reference_stats"] == ref.stats
+        written = json.loads((tmp_path / "summary.json").read_text())
+        assert written["reference_stats"] == ref.stats
+
+        # operator evaluations: the block rows and T0 once an iteration,
+        # m rows and T0 once a check
+        def counted(iterations, stats):
+            return (stats["block_evals"] + 6 * stats["checks"] + iterations
+                    + stats["checks"])
+
+        def traced(trace):
+            return (sum(len(rec.block) + 1 for rec in trace[:-1])
+                    + 7 * sum(rec.residual is not None for rec in trace))
+        main = read_trace_csv(tmp_path / "trace.csv")
+        assert (counted(summary["iterations"], summary["stats"])
+                + counted(summary["reference_iterations"],
+                          summary["reference_stats"])
+                == traced(main) + traced(ref.trace))
+
     def test_unconverged_fejer_reference_fails_the_audit(self, tmp_path):
         sched = {"type": "quasicyclic", "m": 6, "K": 3, "seed": 2}
         cfg = lasso_config(tmp_path, schedule=sched,

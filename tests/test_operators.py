@@ -221,11 +221,46 @@ def test_kahan_weighted_sum_within_compensated_bound(rows, chunk_rows):
 @given(st.lists(st.floats(-1e150, 1e150), max_size=40),
        st.integers(0, 2**32 - 1))
 def test_norm_is_bit_identical_to_numpy(values, seed):
+    """Wherever the sum of squares is at least 2**-969, or the vector is 0;
+    a smaller sum is rescaled (the tiny-vector properties below)."""
     rng = np.random.default_rng(seed)
     for x in (np.array(values, dtype=float),
               rng.standard_normal(len(values))
               * 10.0 ** rng.uniform(-150, 150, len(values))):
-        assert norm(x) == float(np.linalg.norm(x)) == math.sqrt(x.dot(x))
+        if x.dot(x) >= 2.0 ** -969 or not x.any():
+            assert norm(x) == float(np.linalg.norm(x)) == math.sqrt(x.dot(x))
+
+
+@pytest.mark.parametrize("x, expected", [
+    ([3e-170, 4e-170], 5e-170), ([1.1e-208], 1.1e-208),
+    ([-5e-324, 0.0], 5e-324), ([1e-300] * 4, 2e-300)])
+def test_norm_of_a_tiny_vector_does_not_underflow(x, expected):
+    """Where every square underflows, or the sum of squares is below
+    2**-969, the norm is still within rounding of the true one, for a
+    vector and for a row, also beside a NaN row."""
+    x = np.array(x)
+    got = norm(x)
+    assert abs(got - expected) <= 2.0 ** -51 * expected
+    assert row_norms(np.array([x, x])).tolist() == [got, got]
+    assert row_norms(np.array([np.full(x.size, np.nan), x]))[1] == got
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 40), st.floats(-300.0, 0.0), st.integers(0, 2**32 - 1))
+@example(2, -300.0, 0)
+def test_norm_scales_down_to_tiny_vectors(dim, decade, seed):
+    """norm(c x) is c norm(x) within rounding for c from 1 down to 1e-300,
+    where the squares of c x underflow: relative error (dim + 4) 2**-52,
+    plus the subnormal spacing per entry. ``row_norms`` gives the rows the
+    same norms."""
+    x = np.random.default_rng(seed).standard_normal(dim)
+    c = 10.0 ** decade
+    cx = c * x
+    got = norm(cx)
+    expected = c * norm(x)
+    assert abs(got - expected) <= ((dim + 4) * 2.0 ** -52 * expected
+                                   + dim * 2.0 ** -1074)
+    assert row_norms(np.array([cx, x, cx])).tolist() == [got, norm(x), got]
 
 
 @settings(deadline=None, max_examples=300)
@@ -248,11 +283,12 @@ def test_norm_of_a_huge_finite_vector_is_its_scaled_norm(unit, decade):
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.lists(st.one_of(st.none(), st.floats(-150, 150)), min_size=1,
+@given(st.lists(st.one_of(st.none(), st.floats(-320, 150)), min_size=1,
                 max_size=40),
        st.integers(1, 64), st.integers(0, 2**32 - 1))
 def test_row_norms_are_norm_row_by_row(decades, dim, seed):
-    # one row per entry: None is an all-zero row, a number its decade
+    # one row per entry: None is an all-zero row, a number its decade, down
+    # to rows whose squares all underflow
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((len(decades), dim))
     for row, decade in zip(X, decades):

@@ -6,15 +6,17 @@ to the stale iterates, a contractive run stays inside the linear
 envelope, a trace survives the CSV round trip column for column, its file
 byte for byte, skipping stopping checks changes nothing but the skipped
 residuals, and the checks run are the ones an independent replay of the
-gate picks."""
+gate picks, none of them skipped where the stale-iterate bound certifies
+the tolerance."""
 
 import dataclasses
+import functools
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blocksplit.calculus import Ball, Halfspace, Hyperplane, projector_op
 from blocksplit.harness import (TRACE_HEADER, read_trace_csv,
@@ -192,6 +194,14 @@ def test_runs_satisfy_the_lagged_distance_inequality(case, economical,
     assert not report.passed and report.first_violation_n == j - 1
 
 
+def stale_bound(trace, weights, schedule, n):
+    """U_n = sum_i w_i ||x_{c(i,n-1)} - x_n|| from a trace's iterates, with
+    c(i, n-1) from ``last_activation``."""
+    return sum(w * norm(trace[last_activation(schedule, i, n - 1)].x
+                        - trace[n].x)
+               for i, w in enumerate(weights, 1))
+
+
 def stale_bound_excess(trace, weights, schedule):
     """The largest excess of the lagged residual r_n over its bound from
     the stale iterates, for n >= K, in units of 1 + max_k ||x_k||_inf:
@@ -206,11 +216,9 @@ def stale_bound_excess(trace, weights, schedule):
     excess = []
     for rec in trace[K:]:
         prev = trace[rec.n - 1]
-        stale = sum(w * norm(trace[last_activation(schedule, i, rec.n - 1)].x
-                             - rec.x)
-                    for i, w in enumerate(weights, 1))
-        excess.append((rec.residual - stale - prev.err0 - prev.errsum)
-                      / scale)
+        excess.append((rec.residual - stale_bound(trace, weights, schedule,
+                                                  rec.n)
+                       - prev.err0 - prev.errsum) / scale)
     return max(excess)
 
 
@@ -371,15 +379,48 @@ def test_skipped_checks_change_nothing_but_their_residuals(
         if rec.n % check_every == 0)
 
 
+def lag_order_bounds(trace, weights, K):
+    """U_n = sum_i w_i ||x_{c(i,n-1)} - x_n|| at every n >= K of an
+    error-free trace, None before, summed as the solver sums it: the
+    weights of the indices activated last at step k added in index order,
+    then their mass times ||x_k - x_n|| added from k = n-K up, so the two
+    agree bit for bit. c(i, n-1) comes from the recorded blocks."""
+    last = [-1] * len(weights)
+    bounds = []
+    for rec in trace:
+        n = rec.n
+        if n < K:
+            bounds.append(None)
+        else:
+            mass = [0.0] * K
+            for i, w in enumerate(weights):
+                mass[last[i] - (n - K)] += w
+            u = 0.0
+            for k in range(n - K, n):
+                u += mass[k - (n - K)] * norm(trace[k].x - rec.x)
+            bounds.append(u)
+        if rec.block is not None:
+            for i in rec.block:
+                last[i - 1] = n
+    return bounds
+
+
 def dense_series(prob, schedule, x0, max_iters, runner=run):
-    """The residual at every n up to ``max_iters`` and the steps of an
-    error-free run that checks every iteration and never stops early: its
-    iterates are those of any error-free run from ``x0``."""
+    """The residual at every n up to ``max_iters``, and at every n >= K
+    (None before) the stale-iterate bound U_n the gate predicts with and
+    the step sum S_n, of ||x_{k+1} - x_k|| over the K steps before n, it
+    predicted with before, of an error-free run that checks every
+    iteration and never stops early: its iterates are those of any
+    error-free run from ``x0``."""
     cfg = SolverConfig(weights=prob.weights, schedule=schedule,
                        max_iters=max_iters, tol_residual=-1.0, check_every=1)
     trace = runner(prob.t0, prob.ts, cfg, x0).trace
+    K = schedule.K
+    steps = [rec.step for rec in trace[:-1]]
     return ([rec.residual for rec in trace],
-            [rec.step for rec in trace[:-1]])
+            lag_order_bounds(trace, prob.weights, K),
+            [sum(steps[n - K:n]) if n >= K else None
+             for n in range(len(trace))])
 
 
 @settings(deadline=None, max_examples=40)
@@ -396,7 +437,8 @@ def test_gated_checks_are_the_ones_the_replay_picks(case, max_iters,
     prob, schedule, seed = case
     runner = run_economical if economical else run
     x0 = 3.0 * np.random.default_rng(seed).standard_normal(prob.dim)
-    residuals, steps = dense_series(prob, schedule, x0, max_iters, runner)
+    residuals, bounds, _ = dense_series(prob, schedule, x0, max_iters,
+                                        runner)
     tol = residuals[int(at * max_iters)]
     cfg = SolverConfig(weights=prob.weights, schedule=schedule,
                        max_iters=max_iters, tol_residual=tol,
@@ -404,24 +446,79 @@ def test_gated_checks_are_the_ones_the_replay_picks(case, max_iters,
     gated = runner(prob.t0, prob.ts, cfg, x0)
     checked = [(rec.n, rec.residual) for rec in gated.trace
                if rec.residual is not None]
-    picked = replay_gate(residuals, steps, schedule.K, check_every, tol,
+    picked = replay_gate(residuals, bounds, schedule.K, check_every, tol,
                          calibrated_margin)
     assert checked == [(n, residuals[n]) for n in picked]
 
 
-def test_calibrated_margin_is_no_worse_than_a_margin_of_two():
+@settings(deadline=None, max_examples=40)
+@given(problems(), st.sampled_from(["list", "stack", "family"]),
+       st.booleans(), st.integers(100, 400),
+       st.integers(1, 20) | st.integers(21, 300), st.floats(0.05, 0.95))
+# a family, which U_n does not bound, whose prediction would skip a
+# candidate the guard runs
+@example((_build("logistic", 5, 16, 510), make_cyclic(16, 5), 510),
+         "family", False, 100, 3, 0.703125)
+def test_no_candidate_the_stale_bound_certifies_is_skipped(
+        case, operators, economical, max_iters, check_every, at):
+    """An error-free run skips no candidate whose stale-iterate bound U_n,
+    plus 1e-12 (1 + max_k ||x_k||_inf), is within the tolerance, for
+    operator lists, stacks and (i, n) families. For autonomous operators
+    that bound exceeds the residual, so the run stops no later than the
+    first candidate n >= K it certifies. The tolerance is the residual of
+    a run that checks every n at a fraction ``at`` of the way."""
+    prob, schedule, seed = case
+    runner = run_economical if economical else run
+    t0, ts = {"list": (prob.t0, list(prob.ts)),
+              "stack": (prob.t0, prob.ts),
+              "family": relaxed_families(prob)}[operators]
+    x0 = 3.0 * np.random.default_rng(seed).standard_normal(prob.dim)
+
+    def solve(tol_residual, check_every):
+        cfg = SolverConfig(weights=prob.weights, schedule=schedule,
+                           max_iters=max_iters, tol_residual=tol_residual,
+                           check_every=check_every)
+        return runner(t0, ts, cfg, x0).trace
+
+    dense = solve(-1.0, 1)
+    tol = dense[int(at * max_iters)].residual
+    gated = solve(tol, check_every)
+    K = schedule.K
+    slack = 1e-12 * (1.0 + max(float(np.max(np.abs(rec.x)))
+                               for rec in dense))
+    for rec in gated:
+        if rec.residual is None and rec.n % check_every == 0:
+            assert (stale_bound(gated, prob.weights, schedule, rec.n)
+                    + slack > tol)
+    if operators != "family":
+        assert not any(
+            stale_bound(dense, prob.weights, schedule, n) + slack <= tol
+            for n in range(0, gated[-1].n, check_every) if n >= K)
+
+
+@functools.cache
+def survey_series():
     """Lasso at m=30 under cyclic blocks of 5 (K=6), quasicyclic blocks
-    (K=5) and full activation, 3,000 iterations each, tolerances 1e-1 to
-    1e-13 where the run reaches them and check spacings 1 to 500: the
-    calibrated margin stops late (after the first candidate whose residual
-    passes) no more often and by no more iterations than the fixed margin
-    of 2, and runs fewer checks."""
+    (K=5) and full activation: K and the dense series of 3,000 iterations
+    from 0, for each schedule."""
     A, eta, _ = synthetic_regression(20, 30, 2)
     prob = lasso_problem(A, eta, reg=1e-3)
-    totals = {margin_two: [0, 0, 0], calibrated_margin: [0, 0, 0]}
-    for schedule in (make_cyclic(30, 5), make_quasicyclic_random(30, 5, 1),
-                     make_full(30)):
-        residuals, steps = dense_series(prob, schedule, np.zeros(20), 3000)
+    return [(schedule.K, *dense_series(prob, schedule, np.zeros(20), 3000))
+            for schedule in (make_cyclic(30, 5),
+                             make_quasicyclic_random(30, 5, 1),
+                             make_full(30))]
+
+
+def survey_totals(predictor, margin_rule):
+    """Late stops (after the first candidate whose residual passes), the
+    iterations they add and the checks run, replaying the gate over the
+    survey's three schedules, tolerances 1e-1 to 1e-13 where the run
+    reaches them and check spacings 1 to 500. ``predictor`` is "bound",
+    the stale-iterate bound U_n with its guard, or "steps", the step sum
+    S_n the gate predicted with before."""
+    late = late_iters = checks = 0
+    for K, residuals, bounds, step_sums in survey_series():
+        series = bounds if predictor == "bound" else step_sums
         for tol in (10.0 ** -e for e in range(1, 14)):
             for every in (1, 2, 5, 10, 20, 50, 100, 200, 500):
                 candidates = [*range(0, 3000, every), 3000]
@@ -429,13 +526,29 @@ def test_calibrated_margin_is_no_worse_than_a_margin_of_two():
                              None)
                 if first is None:
                     continue
-                for rule, total in totals.items():
-                    picked = replay_gate(residuals, steps, schedule.K, every,
-                                         tol, rule)
-                    total[0] += picked[-1] > first
-                    total[1] += picked[-1] - first
-                    total[2] += len(picked)
-    late, late_iters, checks = totals[calibrated_margin]
-    base_late, base_late_iters, base_checks = totals[margin_two]
+                picked = replay_gate(residuals, series, K, every, tol,
+                                     margin_rule,
+                                     certified=predictor == "bound")
+                late += picked[-1] > first
+                late_iters += picked[-1] - first
+                checks += len(picked)
+    return late, late_iters, checks
+
+
+def test_calibrated_margin_is_no_worse_than_a_margin_of_two():
+    """Over the survey, the calibrated margin stops late no more often and
+    by no more iterations than the fixed margin of 2, and runs fewer
+    checks."""
+    late, late_iters, checks = survey_totals("bound", calibrated_margin)
+    base_late, base_late_iters, base_checks = survey_totals("bound",
+                                                            margin_two)
     assert late <= base_late and late_iters <= base_late_iters
     assert checks < base_checks
+
+
+def test_stale_bound_predictor_runs_fewer_checks_than_the_step_sum():
+    """The survey's totals at the calibrated margin, pinned: the
+    stale-iterate bound runs 11,985 checks with no late stop, where the
+    step sum ran 12,690, also with none."""
+    assert survey_totals("bound", calibrated_margin) == (0, 0, 11_985)
+    assert survey_totals("steps", calibrated_margin) == (0, 0, 12_690)
